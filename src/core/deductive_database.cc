@@ -60,6 +60,11 @@ Result<std::unique_ptr<Session>> DeductiveDatabase::BeginSession() {
   DownwardOptions downward = downward_options_;
   downward.eval.obs = {};
   downward.eval.guard = nullptr;
+  // The facade's verdict on this state travels with the snapshot, so
+  // sessions check integrity given ¬Ic⁰ without re-proving it.
+  if (consistency_cache_.has_value()) {
+    state->SeedConsistency(*consistency_cache_);
+  }
   auto session = std::unique_ptr<Session>(
       new Session(std::move(state), session_registry_, upward, downward));
   obs::MetricsRegistry::Add(obs.metrics, "session.begun");
@@ -561,18 +566,31 @@ Status DeductiveDatabase::AddDomainConstant(std::string_view name) {
 // ---- Upward problems -------------------------------------------------------
 
 Result<bool> DeductiveDatabase::IsConsistent() {
-  if (consistency_cache_.has_value()) return *consistency_cache_;
+  uint64_t proved_version = 0;
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    if (consistency_cache_.has_value()) return *consistency_cache_;
+    proved_version = version_;
+  }
+  // The proof reads only state this (writer) thread mutates, so it runs
+  // outside the lock and never stalls BeginSession.
   DEDDB_ASSIGN_OR_RETURN(bool violated,
                          problems::IcHolds(db_, upward_options_.eval));
-  consistency_cache_ = !violated;
+  std::lock_guard<std::mutex> lock(commit_mu_);
+  if (version_ == proved_version) consistency_cache_ = !violated;
   return !violated;
 }
 
 Result<problems::IntegrityCheckResult> DeductiveDatabase::CheckIntegrity(
     const Transaction& transaction) {
   DEDDB_ASSIGN_OR_RETURN(const CompiledEvents* compiled, Compiled());
+  DEDDB_ASSIGN_OR_RETURN(bool consistent, IsConsistent());
+  // An inconsistent database goes through the unproven path, which reports
+  // the precondition failure.
   return problems::CheckIntegrity(db_, *compiled, transaction,
-                                  upward_options_);
+                                  upward_options_,
+                                  consistent ? ConsistencyProof::kConsistent
+                                             : ConsistencyProof::kUnproven);
 }
 
 Result<problems::ConsistencyRestorationResult>
@@ -616,7 +634,14 @@ DeductiveDatabase::MaintainMaterializedViews(const Transaction& transaction,
 Result<DerivedEvents> DeductiveDatabase::InducedEvents(
     const Transaction& transaction) {
   DEDDB_ASSIGN_OR_RETURN(const CompiledEvents* compiled, Compiled());
-  UpwardInterpreter upward(&db_, compiled, upward_options_);
+  ConsistencyProof proof = ConsistencyProof::kUnproven;
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    if (consistency_cache_.value_or(false)) {
+      proof = ConsistencyProof::kConsistent;
+    }
+  }
+  UpwardInterpreter upward(&db_, compiled, upward_options_, proof);
   return upward.InducedEvents(transaction);
 }
 

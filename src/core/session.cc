@@ -11,7 +11,7 @@ Session::Session(std::shared_ptr<const SessionState> state,
       registry_(std::move(registry)),
       upward_options_(upward),
       downward_options_(downward),
-      view_(state_->db.get(), upward.eval) {
+      view_(state_->db.get(), upward.eval, state_->KnownProof()) {
   registry_->active.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -91,9 +91,16 @@ void Session::set_resource_guard(const ResourceGuard* guard) {
 }
 
 Result<bool> Session::IsConsistent() const {
-  DEDDB_ASSIGN_OR_RETURN(
-      bool violated, problems::IcHolds(*state_->db, upward_options_.eval));
-  return !violated;
+  const SessionState& state = *state_;
+  // Held across the proof: sessions sharing the snapshot wait for one
+  // proof instead of each running their own.
+  std::lock_guard<std::mutex> lock(state.consistency_mu);
+  if (!state.consistent.has_value()) {
+    DEDDB_ASSIGN_OR_RETURN(bool violated,
+                           problems::IcHolds(*state.db, upward_options_.eval));
+    state.consistent = !violated;
+  }
+  return *state.consistent;
 }
 
 Result<const CompiledEvents*> Session::Compiled() const {
@@ -118,8 +125,11 @@ const ActiveDomain& Session::Domain() const {
 Result<problems::IntegrityCheckResult> Session::CheckIntegrity(
     const Transaction& transaction) const {
   DEDDB_ASSIGN_OR_RETURN(const CompiledEvents* compiled, Compiled());
+  DEDDB_ASSIGN_OR_RETURN(bool consistent, IsConsistent());
   return problems::CheckIntegrity(*state_->db, *compiled, transaction,
-                                  upward_options_);
+                                  upward_options_,
+                                  consistent ? ConsistencyProof::kConsistent
+                                             : ConsistencyProof::kUnproven);
 }
 
 Result<problems::ConsistencyRestorationResult>
@@ -140,7 +150,8 @@ Result<problems::ConditionChanges> Session::MonitorConditions(
 Result<DerivedEvents> Session::InducedEvents(
     const Transaction& transaction) const {
   DEDDB_ASSIGN_OR_RETURN(const CompiledEvents* compiled, Compiled());
-  UpwardInterpreter upward(state_->db.get(), compiled, upward_options_);
+  UpwardInterpreter upward(state_->db.get(), compiled, upward_options_,
+                           state_->KnownProof());
   return upward.InducedEvents(transaction);
 }
 

@@ -40,7 +40,8 @@ enum class SessionOp { kInsert, kDelete };
 ///
 /// Everything here is written once, before publication, except the
 /// lazily-built active domain, which is guarded by its once-flag (its
-/// construction only reads the pinned clone).
+/// construction only reads the pinned clone), and the consistency verdict,
+/// guarded by its mutex.
 struct SessionState {
   uint64_t version = 0;
   std::unique_ptr<Database> db;  // never mutated after publication
@@ -50,6 +51,26 @@ struct SessionState {
 
   mutable std::once_flag domain_once;
   mutable std::optional<ActiveDomain> domain;
+
+  /// Records a verdict on `db` proved elsewhere (the facade's cache, copied
+  /// under its commit lock); a verdict already held is kept.
+  void SeedConsistency(bool verdict) const {
+    std::lock_guard<std::mutex> lock(consistency_mu);
+    if (!consistent.has_value()) consistent = verdict;
+  }
+
+  /// kConsistent when `db` is known consistent; never runs the proof.
+  ConsistencyProof KnownProof() const {
+    std::lock_guard<std::mutex> lock(consistency_mu);
+    return consistent.value_or(false) ? ConsistencyProof::kConsistent
+                                      : ConsistencyProof::kUnproven;
+  }
+
+  // Whether `db` satisfies every constraint (¬Ic⁰), once some session or
+  // the facade proved it. A failed proof (e.g. a tripped guard) leaves it
+  // empty, so the next caller retries.
+  mutable std::mutex consistency_mu;
+  mutable std::optional<bool> consistent;
 };
 
 /// Session-count bookkeeping shared by a DeductiveDatabase and all the
@@ -110,7 +131,8 @@ class Session {
     return Solve(pattern);
   }
 
-  /// Integrity of the pinned state (paper §5.1.1 family).
+  /// Integrity of the pinned state (paper §5.1.1 family). Proved at most
+  /// once per snapshot, and not at all when the facade already knew it.
   Result<bool> IsConsistent() const;
   Result<problems::IntegrityCheckResult> CheckIntegrity(
       const Transaction& transaction) const;
@@ -121,7 +143,8 @@ class Session {
       const std::vector<SymbolId>& conditions = {}) const;
 
   /// Raw upward interpretation of a hypothetical transaction against the
-  /// pinned state (all induced derived events).
+  /// pinned state (all induced derived events). Uses the snapshot's
+  /// consistency verdict when one is known; never proves it.
   Result<DerivedEvents> InducedEvents(const Transaction& transaction) const;
 
   /// Downward interpretation against the pinned state.
@@ -163,7 +186,9 @@ class Session {
   std::shared_ptr<SessionRegistry> registry_;
   UpwardOptions upward_options_;
   DownwardOptions downward_options_;
-  // Query engine over the pinned state (internally serialized; lazy).
+  // Query engine over the pinned state (internally serialized; lazy). Built
+  // with the verdict known at BeginSession, so Ic queries on a snapshot
+  // known consistent cost nothing.
   OldStateView view_;
 };
 

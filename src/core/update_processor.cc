@@ -56,7 +56,10 @@ Result<UpdateProcessor::TransactionReport> UpdateProcessor::ProcessTransaction(
     }
   }
   DEDDB_ASSIGN_OR_RETURN(const CompiledEvents* compiled, db_->Compiled());
-  UpwardInterpreter upward(&db, compiled, db_->upward_options());
+  // Integrity checking is ιIc given ¬Ic⁰ (Table 4.1), proved just above:
+  // the old-state Ic literals need no evaluation.
+  UpwardInterpreter upward(&db, compiled, db_->upward_options(),
+                           ConsistencyProof::kConsistent);
   DEDDB_ASSIGN_OR_RETURN(DerivedEvents events,
                          upward.InducedEventsFor(transaction, goals));
 
@@ -281,7 +284,8 @@ Result<UpdateProcessor::ViewUpdateOutcome> UpdateProcessor::ProcessViewUpdate(
     if (cand_span.enabled()) {
       cand_span.AttrStr("txn", translation.ToString(db.symbols()));
     }
-    UpwardInterpreter upward(&db, compiled, db_->upward_options());
+    UpwardInterpreter upward(&db, compiled, db_->upward_options(),
+                             ConsistencyProof::kConsistent);
     DEDDB_ASSIGN_OR_RETURN(
         DerivedEvents events,
         upward.InducedEventsFor(translation.transaction, policy.check));

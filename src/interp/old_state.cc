@@ -1,5 +1,8 @@
 #include "interp/old_state.h"
 
+#include <algorithm>
+#include <unordered_set>
+
 #include "datalog/unify.h"
 
 namespace deddb {
@@ -23,13 +26,41 @@ Atom PatternToAtom(SymbolId predicate, const TuplePattern& pattern) {
   return Atom(predicate, std::move(args));
 }
 
+// True for a rule `Ic <- P(x1,...,xk)` over pairwise-distinct variables:
+// any P fact would derive Ic, so an empty Ic makes P empty too. (This is
+// the rule declaring a constraint installs; a rule update may remove it.)
+bool ImpliesEmptyBody(const Rule& rule) {
+  if (rule.body().size() != 1 || rule.body()[0].negative()) return false;
+  std::unordered_set<VarId> seen;
+  for (const Term& t : rule.body()[0].atom().args()) {
+    if (!t.is_variable() || !seen.insert(t.variable()).second) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
-OldStateView::OldStateView(const Database* db, EvaluationOptions options)
+OldStateView::OldStateView(const Database* db, EvaluationOptions options,
+                           ConsistencyProof proof)
     : db_(db) {
   edb_provider_ = std::make_unique<FactStoreProvider>(&db_->facts());
   engine_ = std::make_unique<QueryEngine>(db_->program(), db_->symbols(),
                                           *edb_provider_, options);
+  if (proof == ConsistencyProof::kConsistent) {
+    const Program& program = db_->program();
+    proven_empty_.push_back(db_->global_ic());
+    for (size_t idx : program.RuleIndicesFor(db_->global_ic())) {
+      const Rule& rule = program.rules()[idx];
+      if (ImpliesEmptyBody(rule)) {
+        proven_empty_.push_back(rule.body()[0].atom().predicate());
+      }
+    }
+  }
+}
+
+bool OldStateView::ProvenEmpty(SymbolId predicate) const {
+  return std::find(proven_empty_.begin(), proven_empty_.end(), predicate) !=
+         proven_empty_.end();
 }
 
 void OldStateView::Invalidate() {
@@ -51,6 +82,7 @@ void OldStateView::ForEachMatch(
     edb_provider_->ForEachMatch(predicate, pattern, fn);
     return;
   }
+  if (ProvenEmpty(predicate)) return;
   if (db_->IsMaterialized(predicate)) {
     const Relation* rel = db_->materialized_store().Find(predicate);
     if (rel != nullptr) rel->ForEachMatch(pattern, fn);
@@ -69,6 +101,7 @@ bool OldStateView::ForEachMatchUntil(
     const std::function<bool(const Tuple&)>& fn) const {
   const PredicateInfo* info = db_->predicates().Find(predicate);
   if (info == nullptr || info->variant != PredicateVariant::kOld) return false;
+  if (ProvenEmpty(predicate)) return false;
   if (info->kind == PredicateKind::kDerived &&
       !db_->IsMaterialized(predicate)) {
     // Stream solutions lazily through the engine; recursion falls back to
@@ -91,6 +124,7 @@ bool OldStateView::Contains(SymbolId predicate, const Tuple& tuple) const {
   if (info->kind == PredicateKind::kBase) {
     return db_->facts().Contains(predicate, tuple);
   }
+  if (ProvenEmpty(predicate)) return false;
   if (db_->IsMaterialized(predicate)) {
     return db_->materialized_store().Contains(predicate, tuple);
   }
@@ -105,6 +139,7 @@ size_t OldStateView::EstimateCount(SymbolId predicate) const {
   if (info->kind == PredicateKind::kBase) {
     return edb_provider_->EstimateCount(predicate);
   }
+  if (ProvenEmpty(predicate)) return 0;
   if (db_->IsMaterialized(predicate)) {
     const Relation* rel = db_->materialized_store().Find(predicate);
     return rel == nullptr ? 0 : rel->size();
@@ -119,6 +154,7 @@ Result<bool> OldStateView::Holds(const Atom& ground_atom) const {
   if (info->kind == PredicateKind::kBase) {
     return db_->facts().Contains(ground_atom);
   }
+  if (ProvenEmpty(ground_atom.predicate())) return false;
   if (db_->IsMaterialized(ground_atom.predicate())) {
     return db_->materialized_store().Contains(ground_atom);
   }
@@ -127,6 +163,7 @@ Result<bool> OldStateView::Holds(const Atom& ground_atom) const {
 }
 
 Result<std::vector<Tuple>> OldStateView::Query(const Atom& pattern) const {
+  if (ProvenEmpty(pattern.predicate())) return std::vector<Tuple>{};
   const PredicateInfo* info = db_->predicates().Find(pattern.predicate());
   if (info != nullptr && info->kind == PredicateKind::kDerived &&
       db_->IsMaterialized(pattern.predicate())) {

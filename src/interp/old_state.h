@@ -3,12 +3,21 @@
 
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "eval/fact_provider.h"
 #include "eval/query_engine.h"
 #include "storage/database.h"
 
 namespace deddb {
+
+/// What the code building an OldStateView has proved about the state it
+/// views. kConsistent means ¬Ic⁰ was established for exactly that state —
+/// IcHolds answered false on it, or an integrity-checked commit produced it
+/// (paper Table 4.1: integrity checking is upward ιIc *given* ¬Ic⁰). Only a
+/// proof may be passed: problems specified given Ic⁰ (consistency
+/// restoration, repair, maintaining inconsistency) never hold one.
+enum class ConsistencyProof { kUnproven, kConsistent };
 
 /// Answers queries about the *old* (current) database state D⁰: base
 /// predicates directly from the extensional store, derived predicates
@@ -18,11 +27,18 @@ namespace deddb {
 ///
 /// Also usable as a FactProvider so rule bodies mixing old literals and
 /// event literals can be joined uniformly.
+///
+/// Given ConsistencyProof::kConsistent, the view answers the global `Ic`,
+/// and every `Ic_i` the program derives it from through the rule
+/// `Ic <- Ic_i(x1,...,xk)`, as empty through every entry point without
+/// running the query engine: for the 0-ary `Ic` that evaluation is an
+/// exhaustive consistency proof over the whole database.
 class OldStateView : public FactProvider {
  public:
   /// `db` must outlive the view. Evaluation of derived predicates uses
   /// `options`.
-  explicit OldStateView(const Database* db, EvaluationOptions options = {});
+  explicit OldStateView(const Database* db, EvaluationOptions options = {},
+                        ConsistencyProof proof = ConsistencyProof::kUnproven);
 
   void ForEachMatch(SymbolId predicate, const TuplePattern& pattern,
                     const std::function<void(const Tuple&)>& fn) const override;
@@ -56,7 +72,12 @@ class OldStateView : public FactProvider {
   const Database& db() const { return *db_; }
 
  private:
+  // True if the proof makes `predicate` empty in the viewed state.
+  bool ProvenEmpty(SymbolId predicate) const;
+
   const Database* db_;
+  // Ic and the Ic_i it is defined from, when the state is proved consistent.
+  std::vector<SymbolId> proven_empty_;
   std::unique_ptr<FactStoreProvider> edb_provider_;
   // QueryEngine caches materializations; logically const access. The mutex
   // serializes engine access so the view stays a valid FactProvider under

@@ -14,8 +14,9 @@ namespace deddb {
 
 UpwardInterpreter::UpwardInterpreter(const Database* db,
                                      const CompiledEvents* compiled,
-                                     UpwardOptions options)
-    : db_(db), compiled_(compiled), options_(options) {}
+                                     UpwardOptions options,
+                                     ConsistencyProof proof)
+    : db_(db), compiled_(compiled), options_(options), proof_(proof) {}
 
 Result<DerivedEvents> UpwardInterpreter::InducedEvents(
     const Transaction& transaction) {
@@ -106,7 +107,7 @@ Result<DerivedEvents> UpwardInterpreter::RunEventRules(
   std::unordered_set<SymbolId> needed = graph.ReachableFrom(wanted);
   for (SymbolId goal : wanted) needed.insert(goal);
 
-  OldStateView old_state(db_, options_.eval);
+  OldStateView old_state(db_, options_.eval, proof_);
   TransactionProvider txn_provider(&transaction, &predicates);
   DerivedEvents events;
   DerivedEventsProvider events_provider(&events, &predicates);

@@ -43,9 +43,12 @@ struct UpwardStats {
 class UpwardInterpreter {
  public:
   /// `db` and `compiled` must outlive the interpreter. `compiled` must have
-  /// been produced by an EventCompiler over `db`.
+  /// been produced by an EventCompiler over `db`. `proof` is what the caller
+  /// has proved about `db`; kConsistent lets the event-rule strategy answer
+  /// the old-state Ic literals (the ¬Ic⁰ of ιIc) without evaluating them.
   UpwardInterpreter(const Database* db, const CompiledEvents* compiled,
-                    UpwardOptions options = {});
+                    UpwardOptions options = {},
+                    ConsistencyProof proof = ConsistencyProof::kUnproven);
 
   /// Computes the induced events for all derived predicates. The transaction
   /// should be valid w.r.t. the current state (Transaction::Validate);
@@ -75,6 +78,7 @@ class UpwardInterpreter {
   const Database* db_;
   const CompiledEvents* compiled_;
   UpwardOptions options_;
+  ConsistencyProof proof_;
   UpwardStats stats_;
 };
 

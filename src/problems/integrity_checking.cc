@@ -17,20 +17,24 @@ Result<bool> IcHolds(const Database& db, const EvaluationOptions& eval) {
 Result<IntegrityCheckResult> CheckIntegrity(const Database& db,
                                             const CompiledEvents& compiled,
                                             const Transaction& transaction,
-                                            const UpwardOptions& options) {
+                                            const UpwardOptions& options,
+                                            ConsistencyProof proof) {
   obs::ScopedSpan span(options.eval.obs.tracer, "problem.integrity_checking");
   if (span.enabled()) {
     span.AttrStr("txn", transaction.ToString(db.symbols()));
   }
   obs::MetricsRegistry::Add(options.eval.obs.metrics,
                             "problem.integrity_checking.calls");
-  DEDDB_ASSIGN_OR_RETURN(bool inconsistent, IcHolds(db, options.eval));
-  if (inconsistent) {
-    return FailedPreconditionError(
-        "integrity checking requires a consistent database (¬Ic⁰); use "
-        "CheckConsistencyRestored or RepairDatabase instead");
+  if (proof != ConsistencyProof::kConsistent) {
+    DEDDB_ASSIGN_OR_RETURN(bool inconsistent, IcHolds(db, options.eval));
+    if (inconsistent) {
+      return FailedPreconditionError(
+          "integrity checking requires a consistent database (¬Ic⁰); use "
+          "CheckConsistencyRestored or RepairDatabase instead");
+    }
   }
-  UpwardInterpreter upward(&db, &compiled, options);
+  UpwardInterpreter upward(&db, &compiled, options,
+                           ConsistencyProof::kConsistent);
   DEDDB_ASSIGN_OR_RETURN(DerivedEvents events,
                          upward.InducedEventsFor(transaction,
                                                  {db.global_ic()}));

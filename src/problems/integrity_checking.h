@@ -26,11 +26,13 @@ struct IntegrityCheckResult {
 
 /// Given a consistent database and a transaction, determines incrementally
 /// whether the transaction violates the integrity constraints. Fails with
-/// kFailedPrecondition if the database is already inconsistent.
-Result<IntegrityCheckResult> CheckIntegrity(const Database& db,
-                                            const CompiledEvents& compiled,
-                                            const Transaction& transaction,
-                                            const UpwardOptions& options = {});
+/// kFailedPrecondition if the database is already inconsistent. A caller
+/// that has already proved ¬Ic⁰ for `db` passes kConsistent and skips the
+/// proof; either way the upward pass runs given ¬Ic⁰.
+Result<IntegrityCheckResult> CheckIntegrity(
+    const Database& db, const CompiledEvents& compiled,
+    const Transaction& transaction, const UpwardOptions& options = {},
+    ConsistencyProof proof = ConsistencyProof::kUnproven);
 
 /// The complementary problem of §5.1.1: given an *inconsistent* database and
 /// a transaction, checks whether the transaction restores consistency
