@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "util/strings.h"
 
@@ -25,7 +23,162 @@ struct Block {
 
 bool MaskableColumn(size_t pos) { return pos < Relation::kMaxMaskColumns; }
 
+// Which of a rule's variables are bound, by slot (slot i holds the i-th
+// distinct variable; `slot_vars` must outlive this). The ordering heuristic
+// and the step compiler walk the body with one of these. Rules have few
+// variables, so slots are found by linear search, allocation-free.
+class SlotBindings {
+ public:
+  explicit SlotBindings(const std::vector<VarId>& slot_vars)
+      : slot_vars_(&slot_vars), bound_(slot_vars.size(), false) {}
+
+  std::optional<size_t> FindSlot(VarId var) const {
+    for (size_t i = 0; i < slot_vars_->size(); ++i) {
+      if ((*slot_vars_)[i] == var) return i;
+    }
+    return std::nullopt;
+  }
+  size_t SlotOf(VarId var) const {
+    std::optional<size_t> slot = FindSlot(var);
+    assert(slot.has_value());  // every variable of the rule has a slot
+    return *slot;
+  }
+
+  // Marks `var` bound; returns its slot if it is a variable of the rule and
+  // was not bound yet.
+  std::optional<size_t> Bind(VarId var) {
+    std::optional<size_t> slot = FindSlot(var);
+    if (!slot.has_value() || bound_[*slot]) return std::nullopt;
+    bound_[*slot] = true;
+    return slot;
+  }
+  bool IsBound(const Term& t) const {
+    return t.is_constant() || bound_[SlotOf(t.variable())];
+  }
+
+  void MarkBound(const Atom& atom) {
+    for (const Term& t : atom.args()) {
+      if (t.is_variable()) bound_[SlotOf(t.variable())] = true;
+    }
+  }
+  bool IsGround(const Atom& atom) const {
+    for (const Term& t : atom.args()) {
+      if (!IsBound(t)) return false;
+    }
+    return true;
+  }
+  Relation::Mask MaskOf(const Atom& atom) const {
+    Relation::Mask mask = 0;
+    for (size_t j = 0; j < atom.arity(); ++j) {
+      if (IsBound(atom.args()[j]) && MaskableColumn(j)) {
+        mask |= Relation::Mask{1} << j;
+      }
+    }
+    return mask;
+  }
+  size_t BoundArgs(const Atom& atom) const {
+    size_t n = 0;
+    for (const Term& t : atom.args()) {
+      if (IsBound(t)) ++n;
+    }
+    return n;
+  }
+  // Distinct unbound variables of `atom`.
+  size_t UnboundVars(const Atom& atom) const {
+    const std::vector<Term>& args = atom.args();
+    size_t n = 0;
+    for (size_t j = 0; j < args.size(); ++j) {
+      if (IsBound(args[j])) continue;
+      bool repeat = false;
+      for (size_t k = 0; k < j && !repeat; ++k) repeat = args[k] == args[j];
+      if (!repeat) ++n;
+    }
+    return n;
+  }
+
+ private:
+  const std::vector<VarId>* slot_vars_;
+  std::vector<bool> bound_;
+};
+
+// The ordering heuristic (see JoinPlan::Order). Consumes `bindings`, which
+// start at the initially bound variables.
+Result<std::vector<size_t>> OrderBody(
+    const std::vector<Literal>& body,
+    const std::function<const FactProvider&(size_t)>& provider_for,
+    const JoinPlan::Options& options, SlotBindings bindings) {
+  std::vector<size_t> order;
+  std::vector<bool> used(body.size(), false);
+  order.reserve(body.size());
+  if (options.forced_first.has_value()) {
+    assert(*options.forced_first < body.size());
+    size_t f = *options.forced_first;
+    order.push_back(f);
+    used[f] = true;
+    bindings.MarkBound(body[f].atom());
+  }
+  while (order.size() < body.size()) {
+    size_t pick = body.size();
+    if (options.strategy == JoinStrategy::kNaiveNestedLoop) {
+      // Textual order; a negative literal waits only until it is ground.
+      for (size_t i = 0; i < body.size() && pick == body.size(); ++i) {
+        if (used[i]) continue;
+        if (body[i].positive() || bindings.IsGround(body[i].atom())) pick = i;
+      }
+    } else {
+      // Ground negatives are free filters: take the first one.
+      for (size_t i = 0; i < body.size() && pick == body.size(); ++i) {
+        if (!used[i] && body[i].negative() &&
+            bindings.IsGround(body[i].atom())) {
+          pick = i;
+        }
+      }
+      if (pick == body.size()) {
+        // Cheapest positive by estimated matching rows under the current
+        // bindings; ties favor more bound arguments, then fewer unbound
+        // variables, then the lowest body index (strict-improvement scan).
+        size_t best_cost = 0, best_bound = 0, best_unbound = 0;
+        for (size_t i = 0; i < body.size(); ++i) {
+          if (used[i] || body[i].negative()) continue;
+          const Atom& atom = body[i].atom();
+          size_t cost = provider_for(i).EstimateMatches(
+              atom.predicate(), bindings.MaskOf(atom));
+          size_t b = bindings.BoundArgs(atom);
+          size_t u = bindings.UnboundVars(atom);
+          if (pick == body.size() || cost < best_cost ||
+              (cost == best_cost &&
+               (b > best_bound || (b == best_bound && u < best_unbound)))) {
+            pick = i;
+            best_cost = cost;
+            best_bound = b;
+            best_unbound = u;
+          }
+        }
+      }
+    }
+    if (pick == body.size()) {
+      return InternalError(
+          "no safe evaluation order: negative literal with unbound "
+          "variables (rule bypassed allowedness validation?)");
+    }
+    used[pick] = true;
+    order.push_back(pick);
+    bindings.MarkBound(body[pick].atom());
+  }
+  return order;
+}
+
 }  // namespace
+
+Result<std::vector<size_t>> JoinPlan::Order(
+    const Rule& rule,
+    const std::function<const FactProvider&(size_t)>& provider_for,
+    const Options& options) {
+  const std::vector<VarId> slot_vars = rule.DistinctVariables();
+  SlotBindings bindings(slot_vars);
+  for (VarId v : options.initially_bound) bindings.Bind(v);
+  return OrderBody(rule.body(), provider_for, options, std::move(bindings));
+}
 
 Result<JoinPlan> JoinPlan::Build(
     const Rule& rule,
@@ -34,132 +187,19 @@ Result<JoinPlan> JoinPlan::Build(
   JoinPlan plan;
   plan.head_predicate_ = rule.head().predicate();
   plan.slot_vars_ = rule.DistinctVariables();
-  std::unordered_map<VarId, size_t> slot_of;
-  slot_of.reserve(plan.slot_vars_.size());
-  for (size_t i = 0; i < plan.slot_vars_.size(); ++i) {
-    slot_of.emplace(plan.slot_vars_[i], i);
-  }
-
-  std::vector<bool> bound(plan.slot_vars_.size(), false);
+  SlotBindings bindings(plan.slot_vars_);
   for (VarId v : options.initially_bound) {
-    auto it = slot_of.find(v);
-    if (it == slot_of.end()) continue;  // not a variable of this rule
-    if (!bound[it->second]) {
-      bound[it->second] = true;
-      plan.initially_bound_slots_.push_back(it->second);
+    if (std::optional<size_t> slot = bindings.Bind(v)) {
+      plan.initially_bound_slots_.push_back(*slot);
     }
   }
-  const std::vector<bool> initially_bound = bound;
-
   const std::vector<Literal>& body = rule.body();
-
-  auto mark_bound = [&](const Atom& atom) {
-    for (const Term& t : atom.args()) {
-      if (t.is_variable()) bound[slot_of.at(t.variable())] = true;
-    }
-  };
-  auto is_ground = [&](const Atom& atom) {
-    for (const Term& t : atom.args()) {
-      if (t.is_variable() && !bound[slot_of.at(t.variable())]) return false;
-    }
-    return true;
-  };
-  auto mask_of = [&](const Atom& atom) {
-    Relation::Mask mask = 0;
-    for (size_t j = 0; j < atom.arity(); ++j) {
-      const Term& t = atom.args()[j];
-      bool is_bound =
-          t.is_constant() || bound[slot_of.at(t.variable())];
-      if (is_bound && MaskableColumn(j)) mask |= Relation::Mask{1} << j;
-    }
-    return mask;
-  };
-  auto bound_args = [&](const Atom& atom) {
-    size_t n = 0;
-    for (const Term& t : atom.args()) {
-      if (t.is_constant() || bound[slot_of.at(t.variable())]) ++n;
-    }
-    return n;
-  };
-  auto unbound_vars = [&](const Atom& atom) {
-    std::unordered_set<VarId> vars;
-    for (const Term& t : atom.args()) {
-      if (t.is_variable() && !bound[slot_of.at(t.variable())]) {
-        vars.insert(t.variable());
-      }
-    }
-    return vars.size();
-  };
-
-  // ---- Ordering -----------------------------------------------------------
-  std::vector<size_t>& order = plan.order_;
-  if (options.fixed_order.has_value()) {
-    order = *options.fixed_order;
-    assert(order.size() == body.size());
-  } else {
-    std::vector<bool> used(body.size(), false);
-    order.reserve(body.size());
-    if (options.forced_first.has_value()) {
-      assert(*options.forced_first < body.size());
-      size_t f = *options.forced_first;
-      order.push_back(f);
-      used[f] = true;
-      mark_bound(body[f].atom());
-    }
-    while (order.size() < body.size()) {
-      size_t pick = body.size();
-      if (options.strategy == JoinStrategy::kNaiveNestedLoop) {
-        // Textual order; a negative literal waits only until it is ground.
-        for (size_t i = 0; i < body.size() && pick == body.size(); ++i) {
-          if (used[i]) continue;
-          if (body[i].positive() || is_ground(body[i].atom())) pick = i;
-        }
-      } else {
-        // Ground negatives are free filters: take the first one.
-        for (size_t i = 0; i < body.size() && pick == body.size(); ++i) {
-          if (!used[i] && body[i].negative() && is_ground(body[i].atom())) {
-            pick = i;
-          }
-        }
-        if (pick == body.size()) {
-          // Cheapest positive by estimated matching rows under the current
-          // bindings; ties favor more bound arguments, then fewer unbound
-          // variables, then the lowest body index (strict-improvement scan).
-          size_t best_cost = 0, best_bound = 0, best_unbound = 0;
-          for (size_t i = 0; i < body.size(); ++i) {
-            if (used[i] || body[i].negative()) continue;
-            const Atom& atom = body[i].atom();
-            size_t cost = provider_for(i).EstimateMatches(atom.predicate(),
-                                                          mask_of(atom));
-            size_t b = bound_args(atom);
-            size_t u = unbound_vars(atom);
-            if (pick == body.size() || cost < best_cost ||
-                (cost == best_cost &&
-                 (b > best_bound || (b == best_bound && u < best_unbound)))) {
-              pick = i;
-              best_cost = cost;
-              best_bound = b;
-              best_unbound = u;
-            }
-          }
-        }
-      }
-      if (pick == body.size()) {
-        return InternalError(
-            "no safe evaluation order: negative literal with unbound "
-            "variables (rule bypassed allowedness validation?)");
-      }
-      used[pick] = true;
-      order.push_back(pick);
-      mark_bound(body[pick].atom());
-    }
-    // Reset binding state for compilation below.
-    bound = initially_bound;
-  }
+  DEDDB_ASSIGN_OR_RETURN(plan.order_,
+                         OrderBody(body, provider_for, options, bindings));
 
   // ---- Step compilation ---------------------------------------------------
   const bool naive = options.strategy == JoinStrategy::kNaiveNestedLoop;
-  for (size_t idx : order) {
+  for (size_t idx : plan.order_) {
     const Literal& lit = body[idx];
     const Atom& atom = lit.atom();
     Step step;
@@ -167,8 +207,7 @@ Result<JoinPlan> JoinPlan::Build(
     step.info.literal = idx;
     step.info.negative = lit.negative();
     step.info.predicate = atom.predicate();
-    step.info.bound_mask = mask_of(atom);
-    std::unordered_set<size_t> newly_bound;  // slots bound earlier in this atom
+    step.info.bound_mask = bindings.MaskOf(atom);
     for (size_t j = 0; j < atom.arity(); ++j) {
       const Term& t = atom.args()[j];
       if (t.is_constant()) {
@@ -179,8 +218,8 @@ Result<JoinPlan> JoinPlan::Build(
         }
         continue;
       }
-      size_t slot = slot_of.at(t.variable());
-      if (bound[slot]) {
+      size_t slot = bindings.SlotOf(t.variable());
+      if (bindings.IsBound(t)) {
         if (naive && lit.positive()) {
           step.check_ops.push_back(CheckOp{j, true, slot, 0});
         } else {
@@ -192,7 +231,9 @@ Result<JoinPlan> JoinPlan::Build(
               "negative literal reached with unbound variables during body "
               "evaluation");
         }
-        if (newly_bound.insert(slot).second) {
+        bool bound_here = false;  // by an earlier argument of this atom
+        for (const BindOp& op : step.bind_ops) bound_here |= op.slot == slot;
+        if (!bound_here) {
           step.bind_ops.push_back(BindOp{j, slot});
         } else {
           // Repeated fresh variable within one atom: the bind op wrote the
@@ -215,7 +256,7 @@ Result<JoinPlan> JoinPlan::Build(
       step.info.access = provider_for(idx).DescribeAccess(
           atom.predicate(), step.info.bound_mask);
     }
-    if (lit.positive()) mark_bound(atom);
+    if (lit.positive()) bindings.MarkBound(atom);
     plan.steps_.push_back(step.info);
     plan.plan_steps_.push_back(std::move(step));
   }
@@ -225,13 +266,13 @@ Result<JoinPlan> JoinPlan::Build(
     if (t.is_constant()) {
       plan.head_ops_.push_back(HeadOp{false, 0, t.constant()});
     } else {
-      auto it = slot_of.find(t.variable());
-      if (it == slot_of.end() || !bound[it->second]) {
+      std::optional<size_t> slot = bindings.FindSlot(t.variable());
+      if (!slot.has_value() || !bindings.IsBound(t)) {
         return InternalError(
             "head variable not bound by the body (rule bypassed allowedness "
             "validation?)");
       }
-      plan.head_ops_.push_back(HeadOp{true, it->second, 0});
+      plan.head_ops_.push_back(HeadOp{true, *slot, 0});
     }
   }
   return plan;
@@ -251,20 +292,23 @@ Result<std::vector<SymbolId>> JoinPlan::InitialRow(
   return row;
 }
 
+Status JoinPlan::CheckInitialRow(const std::vector<SymbolId>& initial) const {
+  if (initial.empty() && !initially_bound_slots_.empty()) {
+    return InvalidArgumentError(
+        "plan has initially-bound variables but got no initial row (use "
+        "InitialRow)");
+  }
+  if (!initial.empty() && initial.size() != slot_vars_.size()) {
+    return InvalidArgumentError("initial row width does not match plan");
+  }
+  return Status::Ok();
+}
+
 void JoinPlan::HeadTupleInto(const SymbolId* row, Tuple* out) const {
   out->clear();
   out->reserve(head_ops_.size());
   for (const HeadOp& op : head_ops_) {
     out->push_back(op.from_slot ? row[op.slot] : op.value);
-  }
-}
-
-void JoinPlan::FillSubstitution(const SymbolId* row,
-                                Substitution* subst) const {
-  for (size_t i = 0; i < slot_vars_.size(); ++i) {
-    if (row[i] != kUnboundSlot) {
-      subst->Bind(slot_vars_[i], Term::MakeConstant(row[i]));
-    }
   }
 }
 
@@ -292,14 +336,7 @@ class BlockExecutor {
 
   Result<size_t> Run(const std::vector<SymbolId>& initial) {
     const auto& steps = plan_.plan_steps_;
-    if (initial.empty() && !plan_.initially_bound_slots_.empty()) {
-      return InvalidArgumentError(
-          "plan has initially-bound variables but Execute got no initial "
-          "row (use InitialRow)");
-    }
-    if (!initial.empty() && initial.size() != width_) {
-      return InvalidArgumentError("initial row width does not match plan");
-    }
+    DEDDB_RETURN_IF_ERROR(plan_.CheckInitialRow(initial));
     states_.resize(steps.size());
     rows_after_.assign(steps.size(), 0);
     for (size_t i = 0; i < steps.size(); ++i) {
@@ -440,6 +477,116 @@ Result<size_t> JoinPlan::Execute(
     ExecStats* stats) const {
   BlockExecutor executor(*this, provider_for, emit, guard, stats);
   return executor.Run(initial);
+}
+
+// Depth-first first-witness interpreter for one Satisfiable call: a single
+// slot row, one persistent match callback per step, and every positive
+// literal streamed through ForEachMatchUntil so the provider stops producing
+// as soon as a complete solution is found. Slots bound by step i are only
+// read by later steps, so backtracking needs no undo: the next match simply
+// overwrites them.
+class WitnessSearch {
+ public:
+  WitnessSearch(const JoinPlan& plan,
+                const std::function<const FactProvider&(size_t)>& provider_for,
+                const ResourceGuard* guard)
+      : plan_(plan), provider_for_(provider_for), guard_(guard) {}
+  // The per-step callbacks hold `this`.
+  WitnessSearch(const WitnessSearch&) = delete;
+  WitnessSearch& operator=(const WitnessSearch&) = delete;
+
+  Result<bool> Run(const std::vector<SymbolId>& initial) {
+    DEDDB_RETURN_IF_ERROR(plan_.CheckInitialRow(initial));
+    const auto& steps = plan_.plan_steps_;
+    row_ = initial.empty() ? std::vector<SymbolId>(plan_.slot_vars_.size(),
+                                                   JoinPlan::kUnboundSlot)
+                           : initial;
+    states_.resize(steps.size());
+    for (size_t i = 0; i < steps.size(); ++i) {
+      StepState& st = states_[i];
+      const JoinPlan::Step& step = steps[i];
+      st.pattern.assign(step.arity, std::nullopt);
+      st.probe.assign(step.arity, 0);
+      for (const JoinPlan::PatternOp& op : step.pattern_ops) {
+        if (!op.from_slot) {
+          st.pattern[op.pos] = op.value;
+          st.probe[op.pos] = op.value;
+        }
+      }
+      st.callback = [this, i](const Tuple& t) { return OnMatch(i, t); };
+    }
+    Search(0);
+    if (!error_.ok()) return error_;
+    return found_;
+  }
+
+ private:
+  struct StepState {
+    TuplePattern pattern;  // positive steps: the probe pattern
+    Tuple probe;           // negative steps: the ground membership probe
+    std::function<bool(const Tuple&)> callback;
+  };
+
+  // Searches from step `step_idx` with the current row; sets found_ (or
+  // error_) and leaves it set.
+  void Search(size_t step_idx) {
+    if (guard_ != nullptr) {
+      Status ticked = guard_->CheckTick();
+      if (!ticked.ok()) {
+        error_ = std::move(ticked);
+        return;
+      }
+    }
+    const auto& steps = plan_.plan_steps_;
+    if (step_idx == steps.size()) {
+      found_ = true;
+      return;
+    }
+    const JoinPlan::Step& step = steps[step_idx];
+    StepState& st = states_[step_idx];
+    const FactProvider& provider = provider_for_(step.info.literal);
+    if (step.info.negative) {
+      for (const JoinPlan::PatternOp& op : step.pattern_ops) {
+        if (op.from_slot) st.probe[op.pos] = row_[op.slot];
+      }
+      if (!provider.Contains(step.info.predicate, st.probe)) {
+        Search(step_idx + 1);
+      }
+      return;
+    }
+    for (const JoinPlan::PatternOp& op : step.pattern_ops) {
+      if (op.from_slot) st.pattern[op.pos] = row_[op.slot];
+    }
+    provider.ForEachMatchUntil(step.info.predicate, st.pattern, st.callback);
+  }
+
+  // Extends the row with one match of step `step_idx`; returns whether the
+  // enumeration should go on.
+  bool OnMatch(size_t step_idx, const Tuple& t) {
+    const JoinPlan::Step& step = plan_.plan_steps_[step_idx];
+    for (const JoinPlan::BindOp& op : step.bind_ops) row_[op.slot] = t[op.pos];
+    for (const JoinPlan::CheckOp& op : step.check_ops) {
+      SymbolId want = op.against_slot ? row_[op.slot] : op.value;
+      if (t[op.pos] != want) return true;
+    }
+    Search(step_idx + 1);
+    return !found_ && error_.ok();
+  }
+
+  const JoinPlan& plan_;
+  const std::function<const FactProvider&(size_t)>& provider_for_;
+  const ResourceGuard* guard_;
+  std::vector<SymbolId> row_;
+  std::vector<StepState> states_;
+  bool found_ = false;
+  Status error_;
+};
+
+Result<bool> JoinPlan::Satisfiable(
+    const std::function<const FactProvider&(size_t)>& provider_for,
+    const std::vector<SymbolId>& initial, const ResourceGuard* guard) const {
+  WitnessSearch search(*this, provider_for, guard);
+  return search.Run(initial);
 }
 
 std::string JoinPlan::ToString(const SymbolTable& symbols) const {

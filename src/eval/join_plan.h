@@ -34,10 +34,20 @@ enum class JoinStrategy {
 /// A compiled evaluation plan for one rule body: an execution order over the
 /// body literals, a per-literal access path, and per-argument ops (constant
 /// checks, bound-slot probes, slot bindings) over a flat row of variable
-/// slots. Execution is block-at-a-time: each step maps a block of partial
-/// rows to the next block in one pass, amortizing the per-tuple overhead the
-/// backtracking join paid (substitution maps, atom rewrites, pattern
-/// allocations) across whole blocks.
+/// slots. This is deddb's one join kernel: the bottom-up evaluator, the
+/// upward interpreter and the index advisor all run rule bodies through it,
+/// and the query engine takes its body order from the same heuristic
+/// (Order).
+///
+/// A plan has two executors over the same compiled steps:
+///  * Execute — block-at-a-time: each step maps a block of partial rows to
+///    the next block in one pass, amortizing the per-tuple overhead (no
+///    substitution maps, atom rewrites or pattern allocations) across whole
+///    blocks. Enumerates every body solution.
+///  * Satisfiable — first-witness: depth-first over one row, streaming each
+///    positive literal through ForEachMatchUntil, so a lazily-evaluated
+///    provider (OldStateView over derived predicates) stops producing at the
+///    first complete solution.
 ///
 /// A plan is immutable after Build and holds no provider state, so one plan
 /// built on the orchestration thread can be executed concurrently by many
@@ -54,12 +64,9 @@ class JoinPlan {
     /// the delta literal.
     std::optional<size_t> forced_first;
     /// Variables bound before execution starts (a partially instantiated
-    /// goal); InitialRow fills their slots from a Substitution.
+    /// goal, or a rule head matched against a candidate fact); InitialRow
+    /// fills their slots from a Substitution.
     std::vector<VarId> initially_bound;
-    /// Bypasses the ordering heuristics entirely (body_eval's compatibility
-    /// wrappers execute a caller-chosen order). Access paths still follow
-    /// `strategy`.
-    std::optional<std::vector<size_t>> fixed_order;
   };
 
   /// One execution step, in order. `access` is the build-time access-path
@@ -96,6 +103,16 @@ class JoinPlan {
     return Build(rule, provider_for, Options());
   }
 
+  /// The execution order Build would choose, without compiling any steps:
+  /// under kPlanned, ground negatives first, then the positive literal with
+  /// the fewest estimated matches (provider_for(i).EstimateMatches under the
+  /// bindings so far), ties broken by more bound arguments, then fewer
+  /// unbound variables, then body index. Fails like Build on an unsafe rule.
+  static Result<std::vector<size_t>> Order(
+      const Rule& rule,
+      const std::function<const FactProvider&(size_t)>& provider_for,
+      const Options& options);
+
   /// Body indices in execution order.
   const std::vector<size_t>& order() const { return order_; }
   const std::vector<StepInfo>& steps() const { return steps_; }
@@ -110,7 +127,7 @@ class JoinPlan {
   Result<std::vector<SymbolId>> InitialRow(const Substitution& subst) const;
 
   /// Runs the plan. `emit` is invoked once per complete body solution with
-  /// the full slot row; use HeadTupleInto / FillSubstitution to decode it.
+  /// the full slot row; use HeadTupleInto to decode it.
   /// Returns the number of emissions (the rule-firing count). `initial` must
   /// come from InitialRow (or be empty for no pre-bindings). When `guard` is
   /// non-null it is ticked per input row and per matched tuple, so a deadline
@@ -121,13 +138,19 @@ class JoinPlan {
       const std::vector<SymbolId>& initial = {},
       const ResourceGuard* guard = nullptr, ExecStats* stats = nullptr) const;
 
+  /// Whether the body has at least one solution extending `initial` (same
+  /// contract as Execute's). Stops at the first witness: positive literals
+  /// stream through ForEachMatchUntil, never ForEachMatch, and nothing is
+  /// enumerated past the witness. When `guard` is non-null it is ticked per
+  /// search step, so a deadline or cancellation aborts a long search.
+  Result<bool> Satisfiable(
+      const std::function<const FactProvider&(size_t)>& provider_for,
+      const std::vector<SymbolId>& initial = {},
+      const ResourceGuard* guard = nullptr) const;
+
   /// Instantiates the rule head from a complete row into `out` (resized).
   void HeadTupleInto(const SymbolId* row, Tuple* out) const;
   SymbolId head_predicate() const { return head_predicate_; }
-
-  /// Binds every slot variable with a bound slot value into `subst`
-  /// (overwriting). Used by the body_eval compatibility wrappers.
-  void FillSubstitution(const SymbolId* row, Substitution* subst) const;
 
   /// Compact one-line rendering for EXPLAIN, e.g.
   ///   `Edge[scan ~12] -> Reaches[col1 ~3] -> !Blocked[key ~1]`
@@ -138,6 +161,10 @@ class JoinPlan {
 
  private:
   friend class BlockExecutor;
+  friend class WitnessSearch;
+
+  // Rejects an initial row Execute/Satisfiable cannot start from.
+  Status CheckInitialRow(const std::vector<SymbolId>& initial) const;
 
   // Per-argument compiled ops. Pattern ops fill the probe pattern before the
   // index lookup; check ops filter matches after bind ops ran; bind ops write

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "datalog/unify.h"
-#include "eval/body_eval.h"
+#include "eval/join_plan.h"
 #include "eval/stratification.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -17,7 +17,30 @@ namespace {
 // variables and from the fresh-rename range.
 constexpr VarId kCanonVarBase = 0x50000000;
 
+// Stands in for derived literals when ordering a body: it costs them as
+// kUnknownCount, where the EDB provider would report 0 (it stores no facts
+// for them) and put them first.
+class UnknownCostProvider : public FactProvider {
+ public:
+  void ForEachMatch(SymbolId, const TuplePattern&,
+                    const std::function<void(const Tuple&)>&) const override {}
+  bool Contains(SymbolId, const Tuple&) const override { return false; }
+};
+
 }  // namespace
+
+Result<std::vector<size_t>> QueryEngine::BodyOrder(const Rule& rule) const {
+  static const UnknownCostProvider kDerived;
+  return JoinPlan::Order(
+      rule,
+      [&](size_t i) -> const FactProvider& {
+        if (program_.Defines(rule.body()[i].atom().predicate())) {
+          return kDerived;
+        }
+        return edb_;
+      },
+      JoinPlan::Options());
+}
 
 QueryEngine::QueryEngine(const Program& program, const SymbolTable& symbols,
                          const FactProvider& edb, EvaluationOptions options)
@@ -182,8 +205,7 @@ Result<bool> QueryEngine::SolveLazy(
     Substitution subst;
     if (!UnifyAtoms(rule.head(), goal, &subst)) continue;
     Rule bound_rule = subst.Apply(rule);
-    DEDDB_ASSIGN_OR_RETURN(std::vector<size_t> order,
-                           PlanBodyOrder(bound_rule, {}));
+    DEDDB_ASSIGN_OR_RETURN(std::vector<size_t> order, BodyOrder(bound_rule));
 
     Status status = Status::Ok();
     bool stopped = false;
@@ -356,8 +378,7 @@ Result<const std::vector<Tuple>*> QueryEngine::SolveMemo(const Atom& canonical,
     Substitution subst;
     if (!UnifyAtoms(rule.head(), canonical, &subst)) continue;
     Rule bound_rule = subst.Apply(rule);
-    DEDDB_ASSIGN_OR_RETURN(std::vector<size_t> order,
-                           PlanBodyOrder(bound_rule, {}));
+    DEDDB_ASSIGN_OR_RETURN(std::vector<size_t> order, BodyOrder(bound_rule));
 
     Status status = Status::Ok();
     std::function<void(size_t, Substitution*)> step = [&](size_t pos,

@@ -94,6 +94,10 @@ class QueryEngine {
   // appearance) so equivalent goals share one memo entry.
   Atom Canonicalize(const Atom& goal) const;
 
+  // Body evaluation order for SolveLazy/SolveMemo: JoinPlan's ordering
+  // heuristic over EDB estimates, with derived literals of unknown cost.
+  Result<std::vector<size_t>> BodyOrder(const Rule& rule) const;
+
   // Memoized solve of a canonicalized goal; returns a pointer into the memo
   // (stable: node-based map).
   Result<const std::vector<Tuple>*> SolveMemo(const Atom& canonical,

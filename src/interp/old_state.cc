@@ -147,6 +147,21 @@ size_t OldStateView::EstimateCount(SymbolId predicate) const {
   return kUnknownCount;
 }
 
+size_t OldStateView::EstimateMatches(SymbolId predicate,
+                                     Relation::Mask bound_mask) const {
+  const PredicateInfo* info = db_->predicates().Find(predicate);
+  if (info == nullptr || info->variant != PredicateVariant::kOld) return 0;
+  if (info->kind == PredicateKind::kBase) {
+    return edb_provider_->EstimateMatches(predicate, bound_mask);
+  }
+  if (ProvenEmpty(predicate)) return 0;
+  if (db_->IsMaterialized(predicate)) {
+    const Relation* rel = db_->materialized_store().Find(predicate);
+    return rel == nullptr ? 0 : rel->EstimateMatches(bound_mask);
+  }
+  return kUnknownCount;
+}
+
 Result<bool> OldStateView::Holds(const Atom& ground_atom) const {
   const PredicateInfo* info =
       db_->predicates().Find(ground_atom.predicate());

@@ -50,6 +50,12 @@ class OldStateView : public FactProvider {
       const std::function<bool(const Tuple&)>& fn) const override;
   bool Contains(SymbolId predicate, const Tuple& tuple) const override;
   size_t EstimateCount(SymbolId predicate) const override;
+  /// Mask-aware for base predicates and materialized views (their stored
+  /// relation's estimate), 0 for a proven-empty Ic/Ic_i, kUnknownCount for
+  /// other derived predicates, so the join planner costs a bound base probe
+  /// below a scan.
+  size_t EstimateMatches(SymbolId predicate,
+                         Relation::Mask bound_mask) const override;
 
   /// True if the ground atom holds in the old state (base lookup or derived
   /// query). Errors from evaluation are reported.

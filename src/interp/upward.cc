@@ -3,7 +3,6 @@
 #include <unordered_set>
 
 #include "datalog/unify.h"
-#include "eval/body_eval.h"
 #include "eval/bottom_up.h"
 #include "eval/dependency_graph.h"
 #include "obs/metrics.h"
@@ -72,25 +71,26 @@ Result<DerivedEvents> UpwardInterpreter::InducedEventsFor(
   return result;
 }
 
-Result<bool> UpwardInterpreter::NewStateHolds(SymbolId new_sym,
-                                              const Tuple& tuple,
-                                              const FactProvider& provider) {
-  Atom ground = AtomFromTuple(new_sym, tuple);
-  auto provider_for = [&](size_t) -> const FactProvider& { return provider; };
-  for (const Rule& rule : compiled_->transition.RulesFor(new_sym)) {
+Result<bool> UpwardInterpreter::NewStateHolds(
+    const std::vector<Rule>& rules, std::vector<std::optional<JoinPlan>>* plans,
+    const Tuple& tuple, const ProviderFor& provider_for) {
+  for (size_t i = 0; i < rules.size(); ++i) {
     Substitution subst;
-    if (!MatchAtom(rule.head(), ground, &subst)) continue;
-    // Head variables are bound through `subst`; tell the planner.
-    std::unordered_set<VarId> bound;
-    std::vector<VarId> head_vars;
-    rule.head().CollectVariables(&head_vars);
-    bound.insert(head_vars.begin(), head_vars.end());
-    DEDDB_ASSIGN_OR_RETURN(std::vector<size_t> order,
-                           PlanBodyOrder(rule, bound));
+    if (!MatchAtomAgainstTuple(rules[i].head(), tuple, &subst)) continue;
+    std::optional<JoinPlan>& plan = (*plans)[i];
+    if (!plan.has_value()) {
+      // Head variables are bound from the candidate before the body runs.
+      JoinPlan::Options options;
+      rules[i].head().CollectVariables(&options.initially_bound);
+      DEDDB_ASSIGN_OR_RETURN(plan,
+                             JoinPlan::Build(rules[i], provider_for, options));
+    }
+    DEDDB_ASSIGN_OR_RETURN(std::vector<SymbolId> initial,
+                           plan->InitialRow(subst));
     ++stats_.bodies_evaluated;
-    DEDDB_ASSIGN_OR_RETURN(bool satisfiable,
-                           BodySatisfiable(rule, order, provider_for, &subst,
-                                           options_.eval.guard));
+    DEDDB_ASSIGN_OR_RETURN(
+        bool satisfiable,
+        plan->Satisfiable(provider_for, initial, options_.eval.guard));
     if (satisfiable) return true;
   }
   return false;
@@ -112,7 +112,27 @@ Result<DerivedEvents> UpwardInterpreter::RunEventRules(
   DerivedEvents events;
   DerivedEventsProvider events_provider(&events, &predicates);
   LayeredProvider provider({&txn_provider, &events_provider, &old_state});
-  auto provider_for = [&](size_t) -> const FactProvider& { return provider; };
+  const ProviderFor provider_for = [&](size_t) -> const FactProvider& {
+    return provider;
+  };
+
+  // Plans `rule` against the old state + events and hands the head tuple of
+  // every body solution to `on_head`.
+  auto for_each_head = [&](const Rule& rule,
+                           const std::function<void(const Tuple&)>& on_head)
+      -> Status {
+    DEDDB_ASSIGN_OR_RETURN(JoinPlan plan, JoinPlan::Build(rule, provider_for));
+    ++stats_.bodies_evaluated;
+    Tuple head;
+    return plan
+        .Execute(provider_for,
+                 [&](const SymbolId* row) {
+                   plan.HeadTupleInto(row, &head);
+                   on_head(head);
+                 },
+                 /*initial=*/{}, options_.eval.guard)
+        .status();
+  };
 
   for (SymbolId pred : compiled_->derived_order) {
     if (needed.count(pred) == 0) continue;
@@ -137,31 +157,14 @@ Result<DerivedEvents> UpwardInterpreter::RunEventRules(
       return compiled_->ins_new.RulesFor(inew);
     }();
     for (const Rule& rule : ins_rules) {
-      auto card = [&](size_t i) {
-        return provider.EstimateCount(rule.body()[i].atom().predicate());
-      };
-      DEDDB_ASSIGN_OR_RETURN(std::vector<size_t> order,
-                             PlanBodyOrder(rule, {}, std::nullopt, card));
-      ++stats_.bodies_evaluated;
-      Substitution subst;
-      Status inner = Status::Ok();
-      DEDDB_ASSIGN_OR_RETURN(
-          size_t fired,
-          EvaluateBody(rule, order, provider_for, &subst,
-                       [&](const Substitution& s) {
-                         if (!inner.ok()) return;
-                         Atom head = s.Apply(rule.head());
-                         Tuple t = TupleFromAtom(head);
-                         ++stats_.candidates_checked;
-                         if (events.ContainsInsert(pred, t)) return;
-                         // ¬P⁰(x): the fact must not hold in the old state.
-                         if (old_state.Contains(pred, t)) return;
-                         events.inserts.Add(pred, t);
-                         ++stats_.events_found;
-                       },
-                       options_.eval.guard));
-      (void)fired;
-      DEDDB_RETURN_IF_ERROR(inner);
+      DEDDB_RETURN_IF_ERROR(for_each_head(rule, [&](const Tuple& t) {
+        ++stats_.candidates_checked;
+        if (events.ContainsInsert(pred, t)) return;
+        // ¬P⁰(x): the fact must not hold in the old state.
+        if (old_state.Contains(pred, t)) return;
+        events.inserts.Add(pred, t);
+        ++stats_.events_found;
+      }));
     }
 
     // ---- Deletions: δP(x) <- P⁰(x) & ¬Pⁿ(x) -------------------------------
@@ -174,22 +177,8 @@ Result<DerivedEvents> UpwardInterpreter::RunEventRules(
       SymbolId cand_sym = symbols.Find(StrCat(
           EventCompiler::kDeleteCandidatePrefix, symbols.NameOf(pred)));
       for (const Rule& rule : compiled_->delete_candidates.RulesFor(cand_sym)) {
-        auto card = [&](size_t i) {
-          return provider.EstimateCount(rule.body()[i].atom().predicate());
-        };
-        DEDDB_ASSIGN_OR_RETURN(std::vector<size_t> order,
-                               PlanBodyOrder(rule, {}, std::nullopt, card));
-        ++stats_.bodies_evaluated;
-        Substitution subst;
-        DEDDB_ASSIGN_OR_RETURN(
-            size_t fired,
-            EvaluateBody(rule, order, provider_for, &subst,
-                         [&](const Substitution& s) {
-                           Atom head = s.Apply(rule.head());
-                           candidates.Add(pred, TupleFromAtom(head));
-                         },
-                         options_.eval.guard));
-        (void)fired;
+        DEDDB_RETURN_IF_ERROR(for_each_head(
+            rule, [&](const Tuple& t) { candidates.Add(pred, t); }));
       }
     } else {
       const PredicateInfo* info = predicates.Find(pred);
@@ -197,12 +186,18 @@ Result<DerivedEvents> UpwardInterpreter::RunEventRules(
       old_state.ForEachMatch(pred, open,
                              [&](const Tuple& t) { candidates.Add(pred, t); });
     }
+    // Each new-state rule is planned once per predicate, on first use, and
+    // shared by all of P's candidates.
+    const std::vector<Rule> new_rules =
+        compiled_->transition.RulesFor(new_sym);
+    std::vector<std::optional<JoinPlan>> new_plans(new_rules.size());
     Status inner = Status::Ok();
     candidates.ForEach([&](SymbolId, const Tuple& t) {
       if (!inner.ok()) return;
       ++stats_.candidates_checked;
       if (events.ContainsDelete(pred, t)) return;
-      Result<bool> holds = NewStateHolds(new_sym, t, provider);
+      Result<bool> holds =
+          NewStateHolds(new_rules, &new_plans, t, provider_for);
       if (!holds.ok()) {
         inner = holds.status();
         return;

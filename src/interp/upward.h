@@ -1,8 +1,11 @@
 #ifndef DEDDB_INTERP_UPWARD_H_
 #define DEDDB_INTERP_UPWARD_H_
 
+#include <functional>
+#include <optional>
 #include <vector>
 
+#include "eval/join_plan.h"
 #include "events/event_compiler.h"
 #include "events/transaction_provider.h"
 #include "interp/derived_events.h"
@@ -69,11 +72,17 @@ class UpwardInterpreter {
   Result<DerivedEvents> RunRecompute(const Transaction& transaction,
                                      const std::vector<SymbolId>& wanted);
 
+  using ProviderFor = std::function<const FactProvider&(size_t)>;
+
   // True if the ground instance new$P(tuple) holds in the transition, i.e.
-  // some transition-rule body for `new_sym` is satisfiable with the head
-  // bound to `tuple`.
-  Result<bool> NewStateHolds(SymbolId new_sym, const Tuple& tuple,
-                             const FactProvider& provider);
+  // some body of the transition rules `rules` of new$P is satisfiable with
+  // the head bound to `tuple` (first-witness search). `plans` parallels
+  // `rules`: each rule is planned, with its head variables bound, the first
+  // time a candidate needs it.
+  Result<bool> NewStateHolds(const std::vector<Rule>& rules,
+                             std::vector<std::optional<JoinPlan>>* plans,
+                             const Tuple& tuple,
+                             const ProviderFor& provider_for);
 
   const Database* db_;
   const CompiledEvents* compiled_;

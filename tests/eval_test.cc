@@ -1,11 +1,10 @@
 // Unit tests of the evaluation layer: dependency graphs, stratification,
-// body planning/joins, bottom-up fixpoints (incl. recursion and negation)
-// and the query engine's strategies.
+// bottom-up fixpoints (incl. recursion and negation) and the query engine's
+// strategies. Body ordering is covered by JoinPlanTest.
 
 #include <gtest/gtest.h>
 
 #include "core/deductive_database.h"
-#include "eval/body_eval.h"
 #include "eval/bottom_up.h"
 #include "eval/dependency_graph.h"
 #include "eval/query_engine.h"
@@ -110,47 +109,6 @@ TEST(StratificationTest, RejectsNegationThroughRecursion) {
   )");
   auto strat = Stratify(db->database().program(), db->symbols());
   EXPECT_EQ(strat.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(BodyPlanTest, NegativesAfterBindingPositives) {
-  auto db = Load(R"(
-    base B/1.
-    base C/1.
-    derived D/1.
-    D(x) <- not C(x) & B(x).
-  )");
-  const Rule& rule = db->database().program().rules()[0];
-  auto order = PlanBodyOrder(rule, {});
-  ASSERT_TRUE(order.ok());
-  // The positive B(x) (index 1) must be evaluated before not C(x) (index 0).
-  EXPECT_EQ(*order, (std::vector<size_t>{1, 0}));
-}
-
-TEST(BodyPlanTest, ForcedFirstRespected) {
-  auto db = Load(R"(
-    base B/1.
-    base C/1.
-    derived D/1.
-    D(x) <- B(x) & C(x).
-  )");
-  const Rule& rule = db->database().program().rules()[0];
-  auto order = PlanBodyOrder(rule, {}, /*forced_first=*/1);
-  ASSERT_TRUE(order.ok());
-  EXPECT_EQ((*order)[0], 1u);
-}
-
-TEST(BodyPlanTest, CardinalityBreaksTies) {
-  auto db = Load(R"(
-    base Big/1.
-    base Small/1.
-    derived D/2.
-    D(x, y) <- Big(x) & Small(y).
-  )");
-  const Rule& rule = db->database().program().rules()[0];
-  auto card = [](size_t i) -> size_t { return i == 0 ? 1000 : 2; };
-  auto order = PlanBodyOrder(rule, {}, std::nullopt, card);
-  ASSERT_TRUE(order.ok());
-  EXPECT_EQ((*order)[0], 1u) << "the smaller relation must lead";
 }
 
 TEST(BottomUpTest, TransitiveClosure) {

@@ -83,6 +83,43 @@ TEST(OldStateViewTest, EventVariantPredicatesAreEmpty) {
   EXPECT_EQ(view.EstimateCount(ins_q), 0u);
 }
 
+TEST(OldStateViewTest, EstimateMatchesIsMaskAwareAndProofAware) {
+  auto db = Load(R"(
+    base Works/2.
+    derived Busy/1.
+    materialized view Staff/1.
+    ic Ic1/1.
+    Busy(x) <- Works(x, y).
+    Staff(x) <- Works(x, y).
+    Ic1(x) <- Works(x, x).
+    Works(Ann, Acme). Works(Bob, Acme). Works(Cal, Acme). Works(Dan, Beta).
+  )");
+  ASSERT_TRUE(db->InitializeMaterializedViews().ok());
+  const Database& state = db->database();
+  SymbolId works = state.FindPredicate("Works").value();
+  SymbolId busy = state.FindPredicate("Busy").value();
+  SymbolId staff = state.FindPredicate("Staff").value();
+  SymbolId ic1 = state.FindPredicate("Ic1").value();
+  OldStateView proven(&state, {}, ConsistencyProof::kConsistent);
+
+  // A bound base column is estimated below the unbound scan.
+  EXPECT_EQ(proven.EstimateMatches(works, 0), 4u);
+  EXPECT_LT(proven.EstimateMatches(works, 0b01), 4u);
+  // The proof makes Ic_i empty; without it Ic_i is an ordinary derived
+  // predicate of unknown size.
+  EXPECT_EQ(proven.EstimateMatches(ic1, 0), 0u);
+  OldStateView unproven(&state);
+  EXPECT_EQ(unproven.EstimateMatches(ic1, 0), FactProvider::kUnknownCount);
+  // A materialized view answers from its stored relation.
+  const Relation* stored = state.materialized_store().Find(staff);
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(proven.EstimateMatches(staff, 0), stored->EstimateMatches(0));
+  EXPECT_EQ(proven.EstimateMatches(staff, 0b1), stored->EstimateMatches(0b1));
+  EXPECT_EQ(proven.EstimateMatches(staff, 0), 4u);
+  // Other derived predicates are not costed.
+  EXPECT_EQ(proven.EstimateMatches(busy, 0b1), FactProvider::kUnknownCount);
+}
+
 TEST(ActiveDomainTest, CollectsColumnsRulesAndExtras) {
   auto db = Load(R"(
     base Person/1. base Likes/2.

@@ -2,7 +2,7 @@
 // maintenance on Relation (insert/erase/clone/bulk-load), PlanAccess
 // selection, the ReplaceContents index-mode regression (incl. the persistence
 // codec's DecodeRelationInto path), JoinPlan ordering/execution under both
-// strategies, and the static index advisor.
+// strategies, the first-witness executor, and the static index advisor.
 
 #include <gtest/gtest.h>
 
@@ -333,14 +333,40 @@ TEST(JoinPlanTest, ForcedFirstOverridesSelectivity) {
   EXPECT_EQ(firings, 2u);
 }
 
-TEST(JoinPlanTest, FixedOrderBypassesHeuristics) {
-  auto db = Load(kChainProgram);
-  JoinPlan::Options options;
-  options.fixed_order = std::vector<size_t>{0, 1};
-  auto plan = BuildPlan(*db, "D", options);
+TEST(JoinPlanTest, NegativesAfterBindingPositives) {
+  auto db = Load(R"(
+    base B/1.
+    base C/1.
+    derived D/1.
+    D(x) <- not C(x) & B(x).
+  )");
+  // The positive B(x) (index 1) must bind x before not C(x) (index 0) runs,
+  // in the compiled plan and in the order-only entry alike.
+  auto plan = BuildPlan(*db, "D", {});
   ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->order(), (std::vector<size_t>{0, 1}));
-  EXPECT_EQ(RunPlan(*db, *plan).size(), 2u);
+  EXPECT_EQ(plan->order(), (std::vector<size_t>{1, 0}));
+  FactStoreProvider provider(&db->database().facts());
+  auto order = JoinPlan::Order(
+      RuleFor(*db, "D"),
+      [&](size_t) -> const FactProvider& { return provider; }, {});
+  ASSERT_TRUE(order.ok()) << order.status();
+  EXPECT_EQ(*order, plan->order());
+}
+
+TEST(JoinPlanTest, CardinalityBreaksTies) {
+  auto db = Load(R"(
+    base Big/1.
+    base Small/1.
+    derived D/2.
+    D(x, y) <- Big(x) & Small(y).
+    Big(A). Big(B). Big(C). Big(D).
+    Small(A).
+  )");
+  // Equally bound, equally open: the smaller relation leads.
+  auto plan = BuildPlan(*db, "D", {});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->order()[0], 1u) << "the smaller relation must lead";
+  EXPECT_EQ(RunPlan(*db, *plan).size(), 4u);
 }
 
 TEST(JoinPlanTest, NegativeLiteralRunsGroundAndFilters) {
@@ -509,8 +535,8 @@ TEST(JoinPlanTest, ToStringRendersCompositeAndColumnAccess) {
 TEST(JoinPlanTest, InitiallyBoundVariableSeedsTheJoin) {
   auto db = Load(kChainProgram);
   const Rule& rule = RuleFor(*db, "D");
-  // Bind x = A before evaluation starts (the interpreter's partial-
-  // substitution entry point, body_eval.cc).
+  // Bind x = A before evaluation starts (how the upward interpreter checks
+  // a deletion candidate against the new-state rules, upward.cc).
   VarId x = rule.head().args()[0].variable();
   JoinPlan::Options options;
   options.initially_bound.push_back(x);
@@ -537,14 +563,6 @@ TEST(JoinPlanTest, InitiallyBoundVariableSeedsTheJoin) {
   for (const Tuple& t : out) {
     EXPECT_EQ(t[0], db->symbols().Find("A"));
   }
-
-  // Round trip through FillSubstitution: a result row binds every slot the
-  // join touched and leaves the rest alone.
-  Substitution filled;
-  std::vector<SymbolId> row = *initial;
-  row[0] = db->symbols().Find("A");
-  plan->FillSubstitution(row.data(), &filled);
-  EXPECT_TRUE(filled.Apply(Term::MakeVariable(x)).is_constant());
 }
 
 TEST(JoinPlanTest, InitialRowRejectsUnresolvedBinding) {
@@ -615,9 +633,145 @@ TEST(JoinPlanTest, UnsafeNegativeOnlyRuleIsRejected) {
   Atom head = db->MakeAtom("D", {x}).value();
   Rule unsafe(head, {Literal::Negative(db->MakeAtom("Blocked", {x}).value())});
   FactStoreProvider provider(&db->database().facts());
-  auto plan = JoinPlan::Build(
-      unsafe, [&](size_t) -> const FactProvider& { return provider; }, {});
-  EXPECT_FALSE(plan.ok());
+  auto provider_for = [&](size_t) -> const FactProvider& { return provider; };
+  EXPECT_FALSE(JoinPlan::Build(unsafe, provider_for, {}).ok());
+  EXPECT_FALSE(JoinPlan::Order(unsafe, provider_for, {}).ok());
+}
+
+// ---------------------------------------------------------------------------
+// JoinPlan: first-witness mode.
+
+// Forwards to a FactStoreProvider and counts how each entry point is used:
+// full enumerations, streamed enumerations, and tuples delivered to a
+// streamed callback (a provider must stop as soon as the callback says so).
+class CountingProvider : public FactProvider {
+ public:
+  explicit CountingProvider(const FactStore* store) : inner_(store) {}
+
+  void ForEachMatch(SymbolId predicate, const TuplePattern& pattern,
+                    const std::function<void(const Tuple&)>& fn)
+      const override {
+    ++for_each_calls;
+    inner_.ForEachMatch(predicate, pattern, fn);
+  }
+  bool ForEachMatchUntil(
+      SymbolId predicate, const TuplePattern& pattern,
+      const std::function<bool(const Tuple&)>& fn) const override {
+    ++until_calls;
+    bool stopped = false;
+    inner_.ForEachMatch(predicate, pattern, [&](const Tuple& t) {
+      if (stopped) return;
+      ++delivered;
+      if (!fn(t)) stopped = true;
+    });
+    return stopped;
+  }
+  bool Contains(SymbolId predicate, const Tuple& tuple) const override {
+    return inner_.Contains(predicate, tuple);
+  }
+  size_t EstimateMatches(SymbolId predicate,
+                         Relation::Mask bound_mask) const override {
+    return inner_.EstimateMatches(predicate, bound_mask);
+  }
+
+  mutable size_t for_each_calls = 0;
+  mutable size_t until_calls = 0;
+  mutable size_t delivered = 0;
+
+ private:
+  FactStoreProvider inner_;
+};
+
+TEST(JoinPlanTest, SatisfiableStreamsAndStopsAtTheFirstWitness) {
+  auto db = Load(kChainProgram);
+  auto plan = BuildPlan(*db, "D", {});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  CountingProvider counting(&db->database().facts());
+  auto provider_for = [&](size_t) -> const FactProvider& { return counting; };
+
+  auto witness = plan->Satisfiable(provider_for);
+  ASSERT_TRUE(witness.ok()) << witness.status();
+  EXPECT_TRUE(*witness);
+  EXPECT_EQ(counting.for_each_calls, 0u);
+  // Small(A) leads, then Big(A, _) has two matches: the first completes the
+  // body, and the search asks for nothing after it.
+  EXPECT_EQ(counting.until_calls, 2u);
+  EXPECT_EQ(counting.delivered, 2u);
+
+  // Block mode over the same provider enumerates both Big(A, _) rows.
+  auto fired = plan->Execute(provider_for, [](const SymbolId*) {});
+  ASSERT_TRUE(fired.ok()) << fired.status();
+  EXPECT_EQ(*fired, 2u);
+  EXPECT_GT(counting.for_each_calls, 0u);
+}
+
+TEST(JoinPlanTest, SatisfiableHonoursBoundSlotsConstantsNegationAndRepeats) {
+  auto db = Load(R"(
+    base E/2.
+    base Color/2.
+    base Blocked/1.
+    derived D/1.
+    D(x) <- E(x, x) & Color(x, Red) & not Blocked(x).
+    E(Ann, Ann). E(Ann, Bob). E(Bob, Bob). E(Cal, Ann). E(Dan, Dan).
+    Color(Ann, Red). Color(Bob, Red). Color(Cal, Red). Color(Dan, Blue).
+    Blocked(Bob).
+  )");
+  const Rule& rule = RuleFor(*db, "D");
+  VarId x = rule.head().args()[0].variable();
+  JoinPlan::Options options;
+  options.initially_bound.push_back(x);
+  auto plan = BuildPlan(*db, "D", options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  FactStoreProvider provider(&db->database().facts());
+  auto provider_for = [&](size_t) -> const FactProvider& { return provider; };
+  for (const char* name : {"Ann", "Bob", "Cal", "Dan"}) {
+    Substitution subst;
+    subst.Bind(x, Term::MakeConstant(db->symbols().Find(name)));
+    auto initial = plan->InitialRow(subst);
+    ASSERT_TRUE(initial.ok()) << initial.status();
+    auto witness = plan->Satisfiable(provider_for, *initial);
+    ASSERT_TRUE(witness.ok()) << witness.status();
+    // Only Ann is on the diagonal, red and unblocked: Bob is blocked, Cal
+    // has no loop, Dan is blue.
+    EXPECT_EQ(*witness, std::string(name) == "Ann") << name;
+  }
+}
+
+TEST(JoinPlanTest, SatisfiableWithCancelledGuardIsCancelled) {
+  auto db = Load(kChainProgram);
+  auto plan = BuildPlan(*db, "D", {});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  CancellationToken token;
+  token.Cancel();
+  ResourceGuard guard(ResourceLimits{}, &token);
+  FactStoreProvider provider(&db->database().facts());
+  auto witness = plan->Satisfiable(
+      [&](size_t) -> const FactProvider& { return provider; }, {}, &guard);
+  ASSERT_FALSE(witness.ok());
+  EXPECT_EQ(witness.status().code(), StatusCode::kCancelled);
+}
+
+TEST(JoinPlanTest, SatisfiableValidatesTheInitialRow) {
+  auto db = Load(kChainProgram);
+  FactStoreProvider provider(&db->database().facts());
+  auto provider_for = [&](size_t) -> const FactProvider& { return provider; };
+  auto plan = BuildPlan(*db, "D", {});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  std::vector<SymbolId> wrong_width(plan->slot_vars().size() + 1,
+                                    JoinPlan::kUnboundSlot);
+  auto witness = plan->Satisfiable(provider_for, wrong_width);
+  ASSERT_FALSE(witness.ok());
+  EXPECT_EQ(witness.status().code(), StatusCode::kInvalidArgument);
+
+  // A plan with pre-bound slots also refuses an empty initial row.
+  JoinPlan::Options options;
+  options.initially_bound.push_back(
+      RuleFor(*db, "D").head().args()[0].variable());
+  auto bound_plan = BuildPlan(*db, "D", options);
+  ASSERT_TRUE(bound_plan.ok()) << bound_plan.status();
+  auto unseeded = bound_plan->Satisfiable(provider_for);
+  ASSERT_FALSE(unseeded.ok());
+  EXPECT_EQ(unseeded.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
 // strong half of the oracle: rule_firings counts complete body solutions,
 // which no join order or access path may change, so a planner bug that
 // duplicates or drops a binding shows up even when the fact set happens to
-// converge to the same place.
+// converge to the same place. On each fixpoint the planned engine's
+// first-witness executor (JoinPlan::Satisfiable) is also held to its block
+// executor, rule by rule.
 //
 // Sharded 10 ways (one gtest parameter per shard, 20 programs each) like
 // server_history_test; the TSan CI job runs the same suite as its race proof
@@ -17,7 +19,9 @@
 #include <vector>
 
 #include "core/deductive_database.h"
+#include "datalog/unify.h"
 #include "eval/bottom_up.h"
+#include "eval/join_plan.h"
 #include "workload/random_programs.h"
 
 namespace deddb {
@@ -29,6 +33,7 @@ using workload::RandomProgramConfig;
 struct EngineRun {
   std::string facts;  // canonical rendering of the full IDB
   EvaluationStats stats;
+  FactStore idb;
 };
 
 Result<EngineRun> RunEngine(const DeductiveDatabase& db, JoinStrategy strategy,
@@ -40,7 +45,8 @@ Result<EngineRun> RunEngine(const DeductiveDatabase& db, JoinStrategy strategy,
   BottomUpEvaluator evaluator(db.database().program(), db.symbols(), edb,
                               options);
   DEDDB_ASSIGN_OR_RETURN(FactStore idb, evaluator.Evaluate());
-  return EngineRun{idb.ToString(db.symbols()), evaluator.stats()};
+  std::string facts = idb.ToString(db.symbols());
+  return EngineRun{std::move(facts), evaluator.stats(), std::move(idb)};
 }
 
 void ExpectStatsEqual(const EvaluationStats& a, const EvaluationStats& b,
@@ -52,8 +58,53 @@ void ExpectStatsEqual(const EvaluationStats& a, const EvaluationStats& b,
   EXPECT_EQ(a.interrupted, b.interrupted) << label;
 }
 
+// Holds the first-witness executor to the block executor: for every rule,
+// with the head variables pre-bound from a candidate head tuple, Satisfiable
+// must answer exactly whether Execute finds a body solution. Candidates are
+// the head predicate's facts in the fixpoint `idb` (some rule derives each)
+// and those facts reversed (often underivable), capped per rule.
+void ExpectWitnessAgreesWithExecute(const DeductiveDatabase& db,
+                                    const FactStore& idb,
+                                    const std::string& label) {
+  constexpr size_t kMaxFactsPerRule = 10;
+  FactStoreProvider edb(&db.database().facts());
+  FactStoreProvider derived(&idb);
+  LayeredProvider model({&derived, &edb});
+  auto provider_for = [&](size_t) -> const FactProvider& { return model; };
+  const std::vector<Rule>& rules = db.database().program().rules();
+  for (size_t r = 0; r < rules.size(); ++r) {
+    const Rule& rule = rules[r];
+    JoinPlan::Options options;
+    rule.head().CollectVariables(&options.initially_bound);
+    auto plan = JoinPlan::Build(rule, provider_for, options);
+    ASSERT_TRUE(plan.ok()) << label << " rule " << r << ": " << plan.status();
+    std::vector<Tuple> candidates;
+    TuplePattern open(rule.head().arity());
+    model.ForEachMatch(rule.head().predicate(), open, [&](const Tuple& t) {
+      if (candidates.size() >= 2 * kMaxFactsPerRule) return;
+      candidates.push_back(t);
+      candidates.emplace_back(t.rbegin(), t.rend());
+    });
+    for (const Tuple& candidate : candidates) {
+      Substitution subst;
+      if (!MatchAtomAgainstTuple(rule.head(), candidate, &subst)) continue;
+      auto initial = plan->InitialRow(subst);
+      ASSERT_TRUE(initial.ok()) << label << ": " << initial.status();
+      auto fired =
+          plan->Execute(provider_for, [](const SymbolId*) {}, *initial);
+      auto witness = plan->Satisfiable(provider_for, *initial);
+      ASSERT_TRUE(fired.ok()) << label << ": " << fired.status();
+      ASSERT_TRUE(witness.ok()) << label << ": " << witness.status();
+      EXPECT_EQ(*witness, *fired > 0)
+          << label << " rule " << r << ": first-witness and block modes "
+          << "disagree";
+    }
+  }
+}
+
 // Runs both engines at thread counts {1, 4} and holds all four runs to one
-// fixpoint and one stats vector.
+// fixpoint and one stats vector, then holds the first-witness executor to
+// the block executor on that fixpoint.
 void ExpectEnginesAgree(const DeductiveDatabase& db, const std::string& label) {
   auto reference = RunEngine(db, JoinStrategy::kPlanned, 1);
   ASSERT_TRUE(reference.ok()) << label << ": " << reference.status();
@@ -70,6 +121,7 @@ void ExpectEnginesAgree(const DeductiveDatabase& db, const std::string& label) {
       ExpectStatsEqual(run->stats, reference->stats, where);
     }
   }
+  ExpectWitnessAgreesWithExecute(db, reference->idb, label);
 }
 
 // 10 shards x 20 programs = 200 random programs (100 hierarchical, 100
