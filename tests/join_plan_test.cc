@@ -333,6 +333,28 @@ TEST(JoinPlanTest, ForcedFirstOverridesSelectivity) {
   EXPECT_EQ(firings, 2u);
 }
 
+TEST(JoinPlanTest, ForcedFirstRespected) {
+  auto db = Load(R"(
+    base B/1.
+    base C/1.
+    derived D/1.
+    D(x) <- B(x) & C(x).
+  )");
+  // Without the override B(x) (index 0) would lead on textual position; the
+  // forced literal leads in the compiled plan and in the order-only entry.
+  JoinPlan::Options options;
+  options.forced_first = 1;
+  auto plan = BuildPlan(*db, "D", options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->order()[0], 1u);
+  FactStoreProvider provider(&db->database().facts());
+  auto order = JoinPlan::Order(
+      RuleFor(*db, "D"),
+      [&](size_t) -> const FactProvider& { return provider; }, options);
+  ASSERT_TRUE(order.ok()) << order.status();
+  EXPECT_EQ((*order)[0], 1u);
+}
+
 TEST(JoinPlanTest, NegativesAfterBindingPositives) {
   auto db = Load(R"(
     base B/1.
