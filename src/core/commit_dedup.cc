@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "util/strings.h"
+
 namespace deddb {
 
 void CommitDedup::Touch(ClientWindow* window) const {
@@ -16,6 +18,7 @@ DedupResult CommitDedup::Lookup(const persist::CommitToken& token) const {
   Touch(const_cast<ClientWindow*>(&window));
   const Slot& slot = window.slots[token.request_seq % window.slots.size()];
   if (slot.used && slot.seq == token.request_seq) {
+    if (slot.rejected) return DedupResult{DedupVerdict::kRejected, 0};
     return DedupResult{DedupVerdict::kDuplicate, slot.version};
   }
   if (token.request_seq <= window.max_seq) {
@@ -27,6 +30,15 @@ DedupResult CommitDedup::Lookup(const persist::CommitToken& token) const {
 }
 
 void CommitDedup::Record(const persist::CommitToken& token, uint64_t version) {
+  Store(token, version, /*rejected=*/false);
+}
+
+void CommitDedup::RecordRejected(const persist::CommitToken& token) {
+  Store(token, 0, /*rejected=*/true);
+}
+
+void CommitDedup::Store(const persist::CommitToken& token, uint64_t version,
+                        bool rejected) {
   assert(token.present());
   auto it = clients_.find(token.client_id);
   if (it == clients_.end()) {
@@ -52,8 +64,29 @@ void CommitDedup::Record(const persist::CommitToken& token, uint64_t version) {
     slot.seq = token.request_seq;
     slot.version = version;
     slot.used = true;
+    slot.rejected = rejected;
   }
   if (token.request_seq > window.max_seq) window.max_seq = token.request_seq;
+}
+
+Status DedupRefusal(DedupVerdict verdict, const persist::CommitToken& token) {
+  switch (verdict) {
+    case DedupVerdict::kFresh:
+    case DedupVerdict::kDuplicate:
+      return Status::Ok();
+    case DedupVerdict::kTooOld:
+      // The seq fell out of the bounded window, so committed-vs-not is
+      // unknowable — ambiguity must surface, not resolve to a guess.
+      return FailedPreconditionError(
+          StrCat("request_seq ", token.request_seq, " of client ",
+                 token.client_id,
+                 " predates the idempotency window; outcome unknown"));
+    case DedupVerdict::kRejected:
+      return FailedPreconditionError(
+          StrCat("request_seq ", token.request_seq, " of client ",
+                 token.client_id, " was already rejected; nothing applied"));
+  }
+  return Status::Ok();
 }
 
 }  // namespace deddb

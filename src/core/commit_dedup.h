@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "persist/wal.h"
+#include "util/status.h"
 
 namespace deddb {
 
@@ -14,6 +15,7 @@ enum class DedupVerdict {
   kFresh,      // never seen: execute it
   kDuplicate,  // already committed: answer with the recorded version
   kTooOld,     // older than the client's retained window: ambiguous, reject
+  kRejected,   // answered with a rejection before: refuse it, never execute
 };
 
 struct DedupResult {
@@ -26,8 +28,11 @@ struct DedupResult {
 /// attempt committed is recognized here and answered with the original
 /// commit version instead of being applied again.
 ///
-/// Only *committed* writes are recorded — a rejected or failed write left no
-/// effect, so re-executing its retry is harmless and needs no memory.
+/// Committed writes are recorded with their version. Rejected writes are
+/// recorded too, as tombstones: the client took the rejection as final, so
+/// a stale copy of the same write must not run later against a newer state.
+/// Such a copy exists when an earlier attempt, sent on a connection the
+/// client has since abandoned, is admitted after the retry was answered.
 ///
 /// Each client's window is a fixed ring keyed by `request_seq mod window`,
 /// so Record and Lookup are allocation-free O(1) on the writer thread's
@@ -67,6 +72,10 @@ class CommitDedup {
   /// already-recorded token is a no-op (replay idempotence).
   void Record(const persist::CommitToken& token, uint64_t version);
 
+  /// Records that `token`'s write was answered with a rejection and applied
+  /// nothing: later lookups report kRejected.
+  void RecordRejected(const persist::CommitToken& token);
+
   size_t client_count() const { return clients_.size(); }
 
  private:
@@ -74,6 +83,7 @@ class CommitDedup {
     uint64_t seq = 0;
     uint64_t version = 0;
     bool used = false;
+    bool rejected = false;  // a tombstone: `version` is meaningless
   };
   struct ClientWindow {
     std::vector<Slot> slots;  // ring of window_per_client, indexed seq % size
@@ -82,11 +92,17 @@ class CommitDedup {
   };
 
   void Touch(ClientWindow* window) const;
+  void Store(const persist::CommitToken& token, uint64_t version,
+             bool rejected);
 
   Options options_;
   std::unordered_map<uint64_t, ClientWindow> clients_;
   mutable uint64_t tick_ = 0;
 };
+
+/// The non-retryable kFailedPrecondition a tokened write gets when its
+/// lookup says kTooOld or kRejected; Ok for kFresh and kDuplicate.
+Status DedupRefusal(DedupVerdict verdict, const persist::CommitToken& token);
 
 }  // namespace deddb
 

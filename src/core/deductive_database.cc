@@ -387,12 +387,21 @@ Result<Transaction> DeductiveDatabase::MakeTransaction(
 }
 
 Status DeductiveDatabase::Apply(const Transaction& transaction) {
-  return ApplyInternal(transaction, persist::CommitToken{});
+  return Apply(transaction, persist::CommitToken{});
 }
 
 Status DeductiveDatabase::Apply(const Transaction& transaction,
                                 const persist::CommitToken& token) {
-  return ApplyInternal(transaction, token);
+  DEDDB_ASSIGN_OR_RETURN(StagedApply staged, StageApply(transaction, token));
+  DEDDB_RETURN_IF_ERROR(DedupRefusal(staged.verdict, token));
+  return FinishApply(staged);
+}
+
+void DeductiveDatabase::RecordRejectedToken(
+    const persist::CommitToken& token) {
+  if (!token.present()) return;
+  std::lock_guard<std::mutex> lock(commit_mu_);
+  dedup_.RecordRejected(token);
 }
 
 DedupResult DeductiveDatabase::LookupCommitToken(
@@ -406,8 +415,8 @@ Status DeductiveDatabase::commit_health() const {
   return commit_health_;
 }
 
-Status DeductiveDatabase::ApplyInternal(const Transaction& transaction,
-                                        const persist::CommitToken& token) {
+Result<DeductiveDatabase::StagedApply> DeductiveDatabase::StageApply(
+    const Transaction& transaction, const persist::CommitToken& token) {
   if (replica_mode()) return ReplicaRefusal();
   const obs::ObsContext obs = observability();
   std::unique_lock<std::mutex> lock(commit_mu_, std::try_to_lock);
@@ -423,41 +432,58 @@ Status DeductiveDatabase::ApplyInternal(const Transaction& transaction,
         std::chrono::duration_cast<std::chrono::microseconds>(waited)
             .count());
   }
+  // Health before dedup: once poisoned, the table may hold optimistic
+  // entries for commits that never became durable.
   DEDDB_RETURN_IF_ERROR(commit_health_);
+  StagedApply staged;
+  if (token.present()) {
+    const DedupResult dedup = dedup_.Lookup(token);
+    if (dedup.verdict != DedupVerdict::kFresh) {
+      staged.verdict = dedup.verdict;
+      staged.version = dedup.version;
+      return staged;
+    }
+  }
   DEDDB_RETURN_IF_ERROR(
       transaction.Validate(db_.facts(), db_.predicates()));
-  if (persistence_ == nullptr) {
-    DEDDB_RETURN_IF_ERROR(ApplyValidatedLocked(transaction));
-    if (token.present()) dedup_.Record(token, version_);
-    return Status::Ok();
+  if (persistence_ != nullptr) {
+    // Redo logging, pipelined: stage the commit record (its sequence number
+    // and log bytes) under the lock and apply in memory; FinishApply waits
+    // for durability OUTSIDE the lock so staged commits share fsyncs. A
+    // failed staging leaves the database untouched, so the redo contract
+    // is unchanged.
+    DEDDB_ASSIGN_OR_RETURN(
+        staged.prepared,
+        persistence_->PrepareCommit(transaction,
+                                    persist::CommitOrigin::kDirect,
+                                    db_.symbols(), obs, token));
   }
-  // Redo logging, pipelined: stage the commit record (its sequence number
-  // and log bytes) under the lock, apply in memory, then wait for
-  // durability OUTSIDE the lock so concurrent committers share fsyncs
-  // (group commit end-to-end). A failed staging leaves the database
-  // untouched, so the redo contract is unchanged.
-  DEDDB_ASSIGN_OR_RETURN(
-      persist::PersistenceManager::PreparedCommit prepared,
-      persistence_->PrepareCommit(transaction, persist::CommitOrigin::kDirect,
-                                  db_.symbols(), obs, token));
   DEDDB_RETURN_IF_ERROR(ApplyValidatedLocked(transaction));
   // Record the token with the commit it names, before the lock drops: a
   // dedup lookup serialized after this commit must see it. If durability
-  // then fails the facade is poisoned, so the optimistic entry can never
-  // answer a request (writes stop being admitted) and the non-durable
-  // record is not replayed on reopen.
+  // then fails the facade is poisoned, which StageApply checks before any
+  // lookup, and the non-durable record is not replayed on reopen.
   if (token.present()) dedup_.Record(token, version_);
-  lock.unlock();
-  Status durable = persistence_->WaitCommitDurable(prepared, obs);
+  staged.version = version_;
+  return staged;
+}
+
+Status DeductiveDatabase::FinishApply(const StagedApply& staged) {
+  if (!staged.prepared.has_value()) return Status::Ok();
+  const persist::PersistenceManager::PreparedCommit& prepared =
+      *staged.prepared;
+  Status durable = persistence_->WaitCommitDurable(prepared, observability());
   if (!durable.ok()) {
     // Applied in memory but not on disk: the memory state is ahead of the
-    // log, so no further commit may be acknowledged. Poison the facade.
-    std::lock_guard<std::mutex> relock(commit_mu_);
-    commit_health_ = InternalError(
+    // log, so no further commit may be acknowledged. Poison the facade
+    // (the first loss names the cause; later ones report their own seq).
+    Status lost = InternalError(
         StrCat("commit ", prepared.seq,
                " was applied in memory but its log record is not durable (",
                durable.ToString(), "); reopen the database to re-converge"));
-    return commit_health_;
+    std::lock_guard<std::mutex> relock(commit_mu_);
+    if (commit_health_.ok()) commit_health_ = lost;
+    return lost;
   }
   // Durable and irrevocable: expose the record to the replica feed.
   persistence_->SettleCommit(prepared.seq);

@@ -181,17 +181,53 @@ class DeductiveDatabase {
   /// Validates (per eqs. 1-2) and applies a transaction to the base facts.
   /// On a persistent database the transaction is durably logged first (the
   /// log record is the commit point). Does NOT maintain materialized views;
-  /// use UpdateProcessor for the combined pipeline.
+  /// use UpdateProcessor for the combined pipeline. StageApply followed by
+  /// FinishApply.
   Status Apply(const Transaction& transaction);
 
   /// Apply with an idempotency token: the commit is recorded in the dedup
   /// table (and, when persistent, the token rides in the WAL record, so
-  /// recovery re-records it). The caller — the server's writer thread — is
-  /// expected to consult LookupCommitToken first; Apply itself does not
-  /// re-check, since the single-writer contract already serializes the
-  /// lookup/apply pair.
+  /// recovery re-records it). A token that already committed applies
+  /// nothing and returns Ok; one older than its client's dedup window, or
+  /// recorded as rejected, is kFailedPrecondition (DedupRefusal).
   Status Apply(const Transaction& transaction,
                const persist::CommitToken& token);
+
+  /// Records that the tokened write `token` names was answered with a
+  /// rejection, so a stale copy of it (an earlier attempt admitted after
+  /// the client's retry was answered) is refused as kRejected instead of
+  /// executed. The server calls it for every tokened write it rejects; a
+  /// no-op for an absent token. Not persisted: stale copies die with their
+  /// connections.
+  void RecordRejectedToken(const persist::CommitToken& token);
+
+  /// A direct Apply split at its durability wait (DESIGN.md §9), so a
+  /// caller can stage further commits while earlier ones wait for their
+  /// fsync and the WAL's group commit batches them.
+  struct StagedApply {
+    /// kFresh: validated, staged in the log, applied in memory; `version`
+    /// is the commit's version, and FinishApply must return Ok before the
+    /// commit is acknowledged. kDuplicate: the token already committed at
+    /// `version`; nothing was staged. kTooOld, kRejected: nothing was
+    /// staged, and the write is refused (DedupRefusal).
+    DedupVerdict verdict = DedupVerdict::kFresh;
+    uint64_t version = 0;
+    /// The staged log record (persistent databases, kFresh only).
+    std::optional<persist::PersistenceManager::PreparedCommit> prepared;
+  };
+
+  /// The staging half of Apply: one commit-lock hold covers the health
+  /// check, the dedup lookup (tokened writes), validation, PrepareCommit,
+  /// the in-memory apply and the token record. An error means nothing was
+  /// staged or applied. Stages are durable in the order they were made.
+  Result<StagedApply> StageApply(const Transaction& transaction,
+                                 const persist::CommitToken& token = {});
+
+  /// The durability half: waits for the staged record (joining the WAL's
+  /// group flush, no facade lock held), poisons the facade if the record
+  /// was lost, and otherwise settles it for the replica feed. Ok for a
+  /// non-fresh stage and on an in-memory database.
+  Status FinishApply(const StagedApply& staged);
 
   /// Classifies a tokened write against the committed-write memory:
   /// kDuplicate carries the version the original commit produced.
@@ -331,10 +367,6 @@ class DeductiveDatabase {
   }
 
  private:
-  /// Shared body of both public Apply overloads; `token` may be absent.
-  Status ApplyInternal(const Transaction& transaction,
-                       const persist::CommitToken& token);
-
   /// Replays one committed WAL record through the path that produced it —
   /// the shared body of OpenPersistent's recovery loop and ApplyReplicated.
   /// Failures (a transaction the current state rejects) are kCorruption:
@@ -413,8 +445,8 @@ class DeductiveDatabase {
   // ---- Session machinery (DESIGN.md §9) -----------------------------------
   // Serializes mutations, snapshot acquisition, and lazy event compilation
   // (which registers predicate variants — a mutation of the predicate
-  // table). Held only briefly by the pipelined Apply: the fsync wait happens
-  // outside it, so concurrent committers batch (group commit end-to-end).
+  // table). Held only by StageApply: FinishApply's fsync wait happens
+  // outside it, so staged commits batch (group commit end-to-end).
   mutable std::mutex commit_mu_;
   uint64_t version_ = 0;
   // The snapshot for version_, if some session already paid for the clone.
@@ -426,9 +458,9 @@ class DeductiveDatabase {
   std::shared_ptr<SessionRegistry> session_registry_ =
       std::make_shared<SessionRegistry>();
   // Sticky failure set when a commit was applied in memory but its log
-  // record did not become durable (pipelined Apply): the memory state is
-  // ahead of the log, so further commits/checkpoints must not proceed —
-  // reopen the database to re-converge.
+  // record did not become durable (FinishApply): the memory state is ahead
+  // of the log, so further commits/checkpoints must not proceed — reopen
+  // the database to re-converge.
   Status commit_health_;
   // Committed tokened writes (exactly-once memory); commit_mu_ guards it.
   // Populated at commit time and, for persistent databases, re-populated

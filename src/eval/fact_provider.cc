@@ -60,9 +60,8 @@ size_t FactStoreProvider::EstimateMatches(SymbolId predicate,
   return rel == nullptr ? 0 : rel->EstimateMatches(bound_mask);
 }
 
-Relation::AccessPath FactStoreProvider::DescribeAccess(
-    SymbolId predicate, Relation::Mask bound_mask) const {
-  const Relation* rel = store_->Find(predicate);
+Relation::AccessPath RelationAccess(const Relation* rel,
+                                    Relation::Mask bound_mask) {
   if (rel == nullptr) {
     Relation::AccessPath path;
     path.kind = Relation::AccessPath::Kind::kEmpty;
@@ -70,6 +69,11 @@ Relation::AccessPath FactStoreProvider::DescribeAccess(
     return path;
   }
   return rel->PlanAccess(bound_mask);
+}
+
+Relation::AccessPath FactStoreProvider::DescribeAccess(
+    SymbolId predicate, Relation::Mask bound_mask) const {
+  return RelationAccess(store_->Find(predicate), bound_mask);
 }
 
 size_t LayeredProvider::EstimateMatches(SymbolId predicate,

@@ -69,6 +69,11 @@ class FactProvider {
   static constexpr size_t kUnknownCount = SIZE_MAX;
 };
 
+/// The DescribeAccess of a source that stores `predicate` in `rel`
+/// (nullptr: nothing stored, an empty access).
+Relation::AccessPath RelationAccess(const Relation* rel,
+                                    Relation::Mask bound_mask);
+
 /// FactProvider over a FactStore. Unknown predicates are simply empty.
 class FactStoreProvider : public FactProvider {
  public:

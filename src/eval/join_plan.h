@@ -104,10 +104,12 @@ class JoinPlan {
   }
 
   /// The execution order Build would choose, without compiling any steps:
-  /// under kPlanned, ground negatives first, then the positive literal with
-  /// the fewest estimated matches (provider_for(i).EstimateMatches under the
-  /// bindings so far), ties broken by more bound arguments, then fewer
-  /// unbound variables, then body index. Fails like Build on an unsafe rule.
+  /// under kPlanned, ground literals first (known-cost before unknown-cost,
+  /// positives before negatives within each, body order), then the positive
+  /// literal with the fewest estimated matches (provider_for(i).
+  /// EstimateMatches under the bindings so far), ties broken by more bound
+  /// arguments, then fewer unbound variables, then body index. Fails like
+  /// Build on an unsafe rule.
   static Result<std::vector<size_t>> Order(
       const Rule& rule,
       const std::function<const FactProvider&(size_t)>& provider_for,

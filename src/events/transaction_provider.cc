@@ -2,16 +2,14 @@
 
 namespace deddb {
 
-const FactStore* TransactionProvider::StoreFor(SymbolId predicate,
-                                               SymbolId* base) const {
+const Relation* TransactionProvider::RelationFor(SymbolId predicate) const {
   const PredicateInfo* info = predicates_->Find(predicate);
   if (info == nullptr || info->kind != PredicateKind::kBase) return nullptr;
-  *base = info->base_symbol;
   switch (info->variant) {
     case PredicateVariant::kInsertEvent:
-      return &transaction_->inserts();
+      return transaction_->inserts().Find(info->base_symbol);
     case PredicateVariant::kDeleteEvent:
-      return &transaction_->deletes();
+      return transaction_->deletes().Find(info->base_symbol);
     default:
       return nullptr;
   }
@@ -20,27 +18,30 @@ const FactStore* TransactionProvider::StoreFor(SymbolId predicate,
 void TransactionProvider::ForEachMatch(
     SymbolId predicate, const TuplePattern& pattern,
     const std::function<void(const Tuple&)>& fn) const {
-  SymbolId base = SymbolTable::kNoSymbol;
-  const FactStore* store = StoreFor(predicate, &base);
-  if (store == nullptr) return;
-  const Relation* rel = store->Find(base);
-  if (rel == nullptr) return;
-  rel->ForEachMatch(pattern, fn);
+  const Relation* rel = RelationFor(predicate);
+  if (rel != nullptr) rel->ForEachMatch(pattern, fn);
 }
 
 bool TransactionProvider::Contains(SymbolId predicate,
                                    const Tuple& tuple) const {
-  SymbolId base = SymbolTable::kNoSymbol;
-  const FactStore* store = StoreFor(predicate, &base);
-  return store != nullptr && store->Contains(base, tuple);
+  const Relation* rel = RelationFor(predicate);
+  return rel != nullptr && rel->Contains(tuple);
 }
 
 size_t TransactionProvider::EstimateCount(SymbolId predicate) const {
-  SymbolId base = SymbolTable::kNoSymbol;
-  const FactStore* store = StoreFor(predicate, &base);
-  if (store == nullptr) return 0;
-  const Relation* rel = store->Find(base);
+  const Relation* rel = RelationFor(predicate);
   return rel == nullptr ? 0 : rel->size();
+}
+
+size_t TransactionProvider::EstimateMatches(SymbolId predicate,
+                                            Relation::Mask bound_mask) const {
+  const Relation* rel = RelationFor(predicate);
+  return rel == nullptr ? 0 : rel->EstimateMatches(bound_mask);
+}
+
+Relation::AccessPath TransactionProvider::DescribeAccess(
+    SymbolId predicate, Relation::Mask bound_mask) const {
+  return RelationAccess(RelationFor(predicate), bound_mask);
 }
 
 }  // namespace deddb

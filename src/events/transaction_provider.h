@@ -22,11 +22,18 @@ class TransactionProvider : public FactProvider {
                     const std::function<void(const Tuple&)>& fn) const override;
   bool Contains(SymbolId predicate, const Tuple& tuple) const override;
   size_t EstimateCount(SymbolId predicate) const override;
+  /// Mask-aware (the event relation's own estimate), so a bound event
+  /// probe costs below a scan of the transaction.
+  size_t EstimateMatches(SymbolId predicate,
+                         Relation::Mask bound_mask) const override;
+  Relation::AccessPath DescribeAccess(
+      SymbolId predicate, Relation::Mask bound_mask) const override;
 
  private:
-  // Returns the backing store (inserts or deletes) and base symbol if
-  // `predicate` is a base event predicate, else nullptr.
-  const FactStore* StoreFor(SymbolId predicate, SymbolId* base) const;
+  // The transaction's insertion or deletion events of the base predicate
+  // `predicate` decorates, or nullptr when it is no base event predicate
+  // (or the transaction has no such events).
+  const Relation* RelationFor(SymbolId predicate) const;
 
   const Transaction* transaction_;
   const PredicateTable* predicates_;

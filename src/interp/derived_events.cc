@@ -19,16 +19,14 @@ std::string DerivedEvents::ToString(const SymbolTable& symbols) const {
   return StrCat("{", Join(parts, ", "), "}");
 }
 
-const FactStore* DerivedEventsProvider::StoreFor(SymbolId predicate,
-                                                 SymbolId* base) const {
+const Relation* DerivedEventsProvider::RelationFor(SymbolId predicate) const {
   const PredicateInfo* info = predicates_->Find(predicate);
   if (info == nullptr || info->kind != PredicateKind::kDerived) return nullptr;
-  *base = info->base_symbol;
   switch (info->variant) {
     case PredicateVariant::kInsertEvent:
-      return &events_->inserts;
+      return events_->inserts.Find(info->base_symbol);
     case PredicateVariant::kDeleteEvent:
-      return &events_->deletes;
+      return events_->deletes.Find(info->base_symbol);
     default:
       return nullptr;
   }
@@ -37,26 +35,30 @@ const FactStore* DerivedEventsProvider::StoreFor(SymbolId predicate,
 void DerivedEventsProvider::ForEachMatch(
     SymbolId predicate, const TuplePattern& pattern,
     const std::function<void(const Tuple&)>& fn) const {
-  SymbolId base = SymbolTable::kNoSymbol;
-  const FactStore* store = StoreFor(predicate, &base);
-  if (store == nullptr) return;
-  const Relation* rel = store->Find(base);
+  const Relation* rel = RelationFor(predicate);
   if (rel != nullptr) rel->ForEachMatch(pattern, fn);
 }
 
 bool DerivedEventsProvider::Contains(SymbolId predicate,
                                      const Tuple& tuple) const {
-  SymbolId base = SymbolTable::kNoSymbol;
-  const FactStore* store = StoreFor(predicate, &base);
-  return store != nullptr && store->Contains(base, tuple);
+  const Relation* rel = RelationFor(predicate);
+  return rel != nullptr && rel->Contains(tuple);
 }
 
 size_t DerivedEventsProvider::EstimateCount(SymbolId predicate) const {
-  SymbolId base = SymbolTable::kNoSymbol;
-  const FactStore* store = StoreFor(predicate, &base);
-  if (store == nullptr) return 0;
-  const Relation* rel = store->Find(base);
+  const Relation* rel = RelationFor(predicate);
   return rel == nullptr ? 0 : rel->size();
+}
+
+size_t DerivedEventsProvider::EstimateMatches(
+    SymbolId predicate, Relation::Mask bound_mask) const {
+  const Relation* rel = RelationFor(predicate);
+  return rel == nullptr ? 0 : rel->EstimateMatches(bound_mask);
+}
+
+Relation::AccessPath DerivedEventsProvider::DescribeAccess(
+    SymbolId predicate, Relation::Mask bound_mask) const {
+  return RelationAccess(RelationFor(predicate), bound_mask);
 }
 
 }  // namespace deddb

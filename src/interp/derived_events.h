@@ -42,9 +42,17 @@ class DerivedEventsProvider : public FactProvider {
                     const std::function<void(const Tuple&)>& fn) const override;
   bool Contains(SymbolId predicate, const Tuple& tuple) const override;
   size_t EstimateCount(SymbolId predicate) const override;
+  /// Mask-aware (the event relation's own estimate), like
+  /// TransactionProvider.
+  size_t EstimateMatches(SymbolId predicate,
+                         Relation::Mask bound_mask) const override;
+  Relation::AccessPath DescribeAccess(
+      SymbolId predicate, Relation::Mask bound_mask) const override;
 
  private:
-  const FactStore* StoreFor(SymbolId predicate, SymbolId* base) const;
+  // The computed insertion or deletion events of the derived predicate
+  // `predicate` decorates, or nullptr.
+  const Relation* RelationFor(SymbolId predicate) const;
 
   const DerivedEvents* events_;
   const PredicateTable* predicates_;

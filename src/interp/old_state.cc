@@ -162,6 +162,23 @@ size_t OldStateView::EstimateMatches(SymbolId predicate,
   return kUnknownCount;
 }
 
+Relation::AccessPath OldStateView::DescribeAccess(
+    SymbolId predicate, Relation::Mask bound_mask) const {
+  const PredicateInfo* info = db_->predicates().Find(predicate);
+  if (info == nullptr || info->variant != PredicateVariant::kOld ||
+      ProvenEmpty(predicate)) {
+    return RelationAccess(nullptr, bound_mask);
+  }
+  if (info->kind == PredicateKind::kBase) {
+    return edb_provider_->DescribeAccess(predicate, bound_mask);
+  }
+  if (db_->IsMaterialized(predicate)) {
+    return RelationAccess(db_->materialized_store().Find(predicate),
+                          bound_mask);
+  }
+  return FactProvider::DescribeAccess(predicate, bound_mask);
+}
+
 Result<bool> OldStateView::Holds(const Atom& ground_atom) const {
   const PredicateInfo* info =
       db_->predicates().Find(ground_atom.predicate());

@@ -56,6 +56,11 @@ class OldStateView : public FactProvider {
   /// below a scan.
   size_t EstimateMatches(SymbolId predicate,
                          Relation::Mask bound_mask) const override;
+  /// The stored relation's access path for base predicates and
+  /// materialized views, empty for a proven-empty Ic/Ic_i, an
+  /// unknown-cost scan for other derived predicates (resolved top-down).
+  Relation::AccessPath DescribeAccess(
+      SymbolId predicate, Relation::Mask bound_mask) const override;
 
   /// True if the ground atom holds in the old state (base lookup or derived
   /// query). Errors from evaluation are reported.

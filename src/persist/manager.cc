@@ -182,8 +182,13 @@ Result<PersistenceManager::PreparedCommit> PersistenceManager::PrepareCommit(
   retained.crc = Crc32(payload);
   retained.payload = payload;
   if (options_.group_commit) {
-    DEDDB_ASSIGN_OR_RETURN(prepared.ticket,
-                           writer_->Enqueue(std::move(payload)));
+    // A direct commit is applied before it is durable, so losing it must
+    // fence the log (WalWriter::Enqueue); a processor commit is applied
+    // only after WaitCommitDurable, so its loss needs no fence.
+    DEDDB_ASSIGN_OR_RETURN(
+        prepared.ticket,
+        writer_->Enqueue(std::move(payload),
+                         /*applied_early=*/origin == CommitOrigin::kDirect));
   } else {
     // Degraded mode: one synchronous write+fsync per record under the
     // manager lock (preserves the group_commit=false ablation).

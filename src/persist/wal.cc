@@ -391,11 +391,19 @@ Status WalWriter::WriteAndSync(const std::string& batch) {
   return Status::Ok();
 }
 
-void WalWriter::SelfHealLocked(const Status& cause) {
+void WalWriter::SelfHealLocked(const Status& cause,
+                               bool batch_applied_early) {
   ++flush_epoch_;
   last_flush_error_ = cause;
+  if ((batch_applied_early || pending_applied_early_) && fenced_.ok()) {
+    fenced_ = InternalError(
+        StrCat("WAL fenced: a failed flush ('", cause.ToString(),
+               "') dropped commits already applied in memory; reopen the "
+               "database to re-converge"));
+  }
   pending_.clear();
   pending_records_ = 0;
+  pending_applied_early_ = false;
   // The batch may be partially (or, after a failed fsync, fully) in the
   // file but is not durable: drop it so the on-disk prefix matches what a
   // crash at the failed instruction would have preserved.
@@ -410,14 +418,17 @@ void WalWriter::SelfHealLocked(const Status& cause) {
   next_offset_ = durable_size_;
 }
 
-Result<WalWriter::Ticket> WalWriter::Enqueue(std::string payload) {
+Result<WalWriter::Ticket> WalWriter::Enqueue(std::string payload,
+                                             bool applied_early) {
   std::string frame = FrameRecord(payload);
   std::lock_guard<std::mutex> lock(mu_);
   if (!poisoned_.ok()) return poisoned_;
+  if (!fenced_.ok()) return fenced_;
   Ticket ticket;
   ticket.epoch = flush_epoch_;
   pending_ += frame;
   ++pending_records_;
+  pending_applied_early_ |= applied_early;
   next_offset_ += frame.size();
   ticket.target = next_offset_;
   return ticket;
@@ -443,8 +454,10 @@ Status WalWriter::WaitDurable(const Ticket& ticket, obs::ObsContext obs) {
     flushing_ = true;
     std::string batch = std::move(pending_);
     uint64_t batch_records = pending_records_;
+    const bool batch_applied_early = pending_applied_early_;
     pending_.clear();
     pending_records_ = 0;
+    pending_applied_early_ = false;
     lock.unlock();
     Status status = WriteAndSync(batch);
     lock.lock();
@@ -461,7 +474,7 @@ Status WalWriter::WaitDurable(const Ticket& ticket, obs::ObsContext obs) {
         obs::MetricsRegistry::Add(obs.metrics, "persist.group_batches");
       }
     } else {
-      SelfHealLocked(status);
+      SelfHealLocked(status, batch_applied_early);
       cv_.notify_all();
       return status;
     }
@@ -499,7 +512,7 @@ Status WalWriter::AppendDurable(std::string payload, obs::ObsContext obs) {
       obs::MetricsRegistry::Add(obs.metrics, "persist.wal_bytes",
                                 frame.size());
     } else {
-      SelfHealLocked(status);
+      SelfHealLocked(status, /*batch_applied_early=*/false);
     }
     cv_.notify_all();
     return status;
@@ -512,8 +525,10 @@ Status WalWriter::Sync(obs::ObsContext obs) {
   while (flushing_) cv_.wait(lock);
   if (pending_.empty()) return Status::Ok();
   std::string batch = std::move(pending_);
+  const bool batch_applied_early = pending_applied_early_;
   pending_.clear();
   pending_records_ = 0;
+  pending_applied_early_ = false;
   flushing_ = true;
   lock.unlock();
   Status status = WriteAndSync(batch);
@@ -525,7 +540,7 @@ Status WalWriter::Sync(obs::ObsContext obs) {
     ++fsyncs_;
     obs::MetricsRegistry::Add(obs.metrics, "persist.wal_fsyncs");
   } else {
-    SelfHealLocked(status);
+    SelfHealLocked(status, batch_applied_early);
   }
   cv_.notify_all();
   return status;

@@ -191,7 +191,17 @@ class WalWriter {
   /// joins the group flush (called after the caller has released its locks,
   /// so concurrent committers batch fsyncs end-to-end). Records become
   /// durable in Enqueue order — exactly the order the caller staged them.
-  Result<Ticket> Enqueue(std::string payload);
+  ///
+  /// `applied_early` marks a record whose effects the caller applies before
+  /// it is durable (the facade's direct Apply). A failed flush that drops
+  /// such a record fences the writer: every later Enqueue/AppendDurable is
+  /// refused, because a record staged after the loss would be computed
+  /// against state the log no longer has and would replay against the wrong
+  /// state. Records that are applied only once durable (the processor path,
+  /// abort markers) never fence: their loss leaves memory and log in step.
+  /// The fence lasts for this writer's life — a checkpoint, whose snapshot
+  /// covers every applied commit, installs a fresh writer.
+  Result<Ticket> Enqueue(std::string payload, bool applied_early = false);
 
   /// Blocks until the enqueued record is durable (possibly leading the
   /// flush). Returns the flush error if the record's batch was dropped; the
@@ -214,8 +224,10 @@ class WalWriter {
 
   /// Leader body: write + fsync one batch (fault points live here).
   Status WriteAndSync(const std::string& batch);
-  /// Drops the non-durable suffix after a failed flush (mu_ held).
-  void SelfHealLocked(const Status& cause);
+  /// Drops the non-durable suffix after a failed flush (mu_ held);
+  /// `batch_applied_early` says whether the failed batch itself held an
+  /// applied-early record (pending_ tracks its own).
+  void SelfHealLocked(const Status& cause, bool batch_applied_early);
 
   int fd_;
   std::string path_;
@@ -231,9 +243,11 @@ class WalWriter {
   uint64_t flush_epoch_ = 0;     // bumped when a failed flush drops a batch
   Status last_flush_error_;      // cause of the latest epoch bump
   Status poisoned_;              // sticky: self-heal itself failed
+  Status fenced_;                // sticky: a flush dropped applied-early records
   uint64_t group_batches_ = 0;   // flushes that covered > 1 record
   uint64_t fsyncs_ = 0;
   uint64_t pending_records_ = 0;
+  bool pending_applied_early_ = false;  // pending_ holds an applied-early record
 };
 
 }  // namespace deddb::persist

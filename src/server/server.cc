@@ -57,6 +57,41 @@ struct Server::WriteJob {
   Clock::time_point deadline_at{};
 };
 
+/// One reply in the ordered ack stream: what the writer decided for a job,
+/// sent in staging order by whichever thread acknowledges it.
+struct Server::Ack {
+  std::shared_ptr<ConnState> conn;
+  uint64_t request_id = 0;
+  bool tokened = false;  // opts error replies into the retryable hint
+  /// A staged Apply: FinishApply decides between the reply below and a
+  /// non-retryable error.
+  std::optional<DeductiveDatabase::StagedApply> staged;
+  Clock::time_point staged_at{};
+  /// Nonzero for a dedup hit: the version its original committed at. The
+  /// reply below stands only if that commit did not fail durability.
+  uint64_t duplicate_of = 0;
+  /// The reply: a success frame, or kError with `error` and its hint.
+  FrameType type = FrameType::kError;
+  std::string payload;
+  Status error;
+  bool retryable = false;
+
+  /// An ack for `job`, reply still to be decided.
+  static Ack For(const WriteJob& job) {
+    Ack ack;
+    ack.conn = job.conn;
+    ack.request_id = job.request_id;
+    ack.tokened = job.token.present();
+    return ack;
+  }
+
+  void Fail(Status status, bool retry) {
+    type = FrameType::kError;
+    error = std::move(status);
+    retryable = retry;
+  }
+};
+
 Server::Server(DeductiveDatabase* db, ServerOptions options)
     : db_(db),
       options_(std::move(options)),
@@ -81,6 +116,7 @@ Status Server::Serve(std::unique_ptr<Listener> listener) {
   // keeps the per-commit cost at one relaxed load until someone subscribes.
   db_->set_commit_observer(&subs_);
   writer_thread_ = std::thread(&Server::WriterLoop, this);
+  acker_thread_ = std::thread(&Server::AckLoop, this);
   pusher_thread_ = std::thread(&Server::PusherLoop, this);
   accept_thread_ = std::thread(&Server::AcceptLoop, this);
   return Status::Ok();
@@ -108,7 +144,8 @@ void Server::Stop() {
   if (listener_ != nullptr) listener_->Close();
 
   // Drain: every admitted write completes and gets its response before any
-  // connection is torn down.
+  // connection is torn down (a write is in flight until its ack; joining the
+  // writer and the durability stage below finishes the last reply writes).
   {
     std::unique_lock<std::mutex> lock(mu_);
     drained_cv_.wait(lock, [&] {
@@ -116,6 +153,7 @@ void Server::Stop() {
     });
   }
   if (writer_thread_.joinable()) writer_thread_.join();
+  if (acker_thread_.joinable()) acker_thread_.join();
   if (accept_thread_.joinable()) accept_thread_.join();
 
   // The writer is gone, so no further commit can publish into the manager;
@@ -949,8 +987,8 @@ void Server::ServeWalFetch(const std::shared_ptr<ConnState>& conn,
   if (long_poll &&
       persistence->settled_seq() <= request->from_seq) {
     // Park in bounded slices off mu_ until a write settles past the cursor,
-    // the poll window lapses, or the server stops. The writer thread rings
-    // repl_cv_ after each executed write; the slices bound the staleness of
+    // the poll window lapses, or the server stops. Each acknowledged write
+    // rings repl_cv_ (FinishAck); the slices bound the staleness of
     // a missed wakeup (e.g. a commit made directly on the facade).
     uint32_t window_ms = options_.feed_poll_ms;
     if (request->admission.deadline_ms != 0) {
@@ -1064,19 +1102,32 @@ void Server::EnqueueWrite(const std::shared_ptr<ConnState>& conn,
 }
 
 void Server::WriterLoop() {
+  // The stream may run this far ahead of the durability stage (at least one,
+  // so a zero-depth queue cannot wedge Stop()).
+  const size_t max_acks = std::max<size_t>(1, options_.write_queue_depth);
   for (;;) {
     WriteJob job;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock,
-                     [&] { return stopping_ || !write_queue_.empty(); });
+      queue_cv_.wait(lock, [&] {
+        return (stopping_ || !write_queue_.empty()) &&
+               acks_.size() < max_acks;
+      });
       if (write_queue_.empty()) {
         // stopping_ and drained; nothing will be admitted past this point.
+        writer_done_ = true;
+        ack_cv_.notify_all();
         return;
       }
       job = std::move(write_queue_.front());
       write_queue_.pop_front();
-      writes_in_flight_ = 1;
+      ++writes_in_flight_;
+      // A checkpoint is a barrier: its snapshot must not capture a staged
+      // commit whose flush may still fail, so it waits until every ack
+      // ahead of it is finished (a lost commit has poisoned the facade).
+      if (job.kind == WriteJob::Kind::kCheckpoint) {
+        queue_cv_.wait(lock, [&] { return acks_.empty(); });
+      }
       obs::MetricsRegistry::Set(
           metrics_, "server.queue_depth",
           static_cast<int64_t>(write_queue_.size() + writes_in_flight_));
@@ -1088,6 +1139,7 @@ void Server::WriterLoop() {
             start - job.admitted_at)
             .count());
     if (options_.writer_stall_for_test) options_.writer_stall_for_test();
+    Ack ack = Ack::For(job);
     if (job.has_deadline && Clock::now() >= job.deadline_at) {
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -1096,10 +1148,10 @@ void Server::WriterLoop() {
       obs::MetricsRegistry::Add(metrics_, "server.deadline_expired_in_queue");
       // Not retryable: the deadline was the client's whole budget for this
       // request, and it is spent.
-      SendWriteError(job.conn, job.request_id,
-                     DeadlineExceededError(
-                         "request deadline expired in the admission queue"),
-                     job.token.present(), /*retryable=*/false);
+      db_->RecordRejectedToken(job.token);
+      ack.Fail(DeadlineExceededError(
+                   "request deadline expired in the admission queue"),
+               /*retry=*/false);
     } else {
       // Re-arm the facade guard for this job: remaining deadline (admission
       // time counts) plus the request's budgets. Only writer-thread
@@ -1110,35 +1162,126 @@ void Server::WriterLoop() {
             job.deadline_at - Clock::now(), std::chrono::nanoseconds(1));
       }
       writer_guard_.Restart(LimitsFor(job.admission, remaining));
-      ExecuteWrite(job);
+      ExecuteWrite(job, &ack);
+      // The writer's own time: a staged Apply's durability wait is
+      // server.durable_wait_us.
       obs::MetricsRegistry::Observe(
           metrics_, "server.write_exec_us",
           std::chrono::duration_cast<std::chrono::microseconds>(
               Clock::now() - start)
               .count());
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      writes_in_flight_ = 0;
-      if (job.conn->pending_writes > 0) --job.conn->pending_writes;
-      obs::MetricsRegistry::Set(
-          metrics_, "server.queue_depth",
-          static_cast<int64_t>(write_queue_.size()));
-      drained_cv_.notify_all();
-    }
-    // Wake feed long-polls: the write may have settled new records. The
-    // empty lock pairs with the waiter's predicate re-check, so a wakeup
-    // cannot be lost between its check and its wait.
-    {
-      std::lock_guard<std::mutex> repl_lock(repl_mu_);
-    }
-    repl_cv_.notify_all();
+    Deliver(std::move(ack));
   }
 }
 
-bool Server::CheckDedup(const WriteJob& job) {
-  if (!job.token.present()) return false;
-  DedupResult dedup = db_->LookupCommitToken(job.token);
+void Server::Deliver(Ack ack) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Behind an ack still in flight the reply must wait its turn; a staged
+    // Apply with more jobs queued is handed off so the writer can stage
+    // them into the same fsync.
+    const bool waits = ack.staged.has_value() && ack.staged->prepared;
+    if (!acks_.empty() || (waits && !write_queue_.empty())) {
+      acks_.push_back(std::move(ack));
+      ack_cv_.notify_one();
+      return;
+    }
+  }
+  // Light load: nothing in flight, nothing to overlap — reply in place.
+  FinishAck(ack);
+}
+
+void Server::AckLoop() {
+  const size_t max_acks = std::max<size_t>(1, options_.write_queue_depth);
+  for (;;) {
+    Ack ack;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ack_cv_.wait(lock, [&] { return writer_done_ || !acks_.empty(); });
+      if (acks_.empty()) return;
+      // The husk stays at the front while the ack is finished, so the
+      // writer sees the stream busy and queues behind it.
+      ack = std::move(acks_.front());
+    }
+    FinishAck(ack);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      acks_.pop_front();
+      if (acks_.empty() || acks_.size() + 1 == max_acks) {
+        queue_cv_.notify_one();
+      }
+    }
+  }
+}
+
+void Server::FinishAck(Ack& ack) {
+  if (ack.staged.has_value()) {
+    Status durable = db_->FinishApply(*ack.staged);
+    if (ack.staged->prepared) {
+      obs::MetricsRegistry::Observe(
+          metrics_, "server.durable_wait_us",
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              Clock::now() - ack.staged_at)
+              .count());
+    }
+    if (durable.ok()) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++counters_.writes_applied;
+      }
+      obs::MetricsRegistry::Add(metrics_, "server.writes_applied");
+    } else {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++counters_.writes_rejected;
+        if (failed_version_ == 0) {
+          failed_version_ = ack.staged->version;
+          failed_status_ = durable;
+        }
+      }
+      obs::MetricsRegistry::Add(metrics_, "server.writes_rejected");
+      NoteCommitHealth();
+      ack.Fail(std::move(durable), /*retry=*/false);
+    }
+  } else if (ack.duplicate_of != 0) {
+    // Every ack ahead of this one is settled, the original's included: a
+    // duplicate of a commit that failed durability gets that failure.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (failed_version_ != 0 && ack.duplicate_of >= failed_version_) {
+      ack.Fail(failed_status_, /*retry=*/false);
+    }
+  }
+  // Release the job before its reply goes out, so a client that has the
+  // reply never finds its quota or the queue depth still holding it.
+  // (Stop() joins the writer and the durability stage after the drain, so
+  // the reply is still written before Stop() returns.)
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --writes_in_flight_;
+    if (ack.conn->pending_writes > 0) --ack.conn->pending_writes;
+    obs::MetricsRegistry::Set(
+        metrics_, "server.queue_depth",
+        static_cast<int64_t>(write_queue_.size() + writes_in_flight_));
+    drained_cv_.notify_all();
+  }
+  if (ack.type == FrameType::kError) {
+    SendWriteError(ack.conn, ack.request_id, ack.error, ack.tokened,
+                   ack.retryable);
+  } else {
+    SendReply(ack.conn, ack.request_id, ack.type, ack.payload);
+  }
+  // Wake feed long-polls: the write may have settled new records. The
+  // empty lock pairs with the waiter's predicate re-check, so a wakeup
+  // cannot be lost between its check and its wait.
+  {
+    std::lock_guard<std::mutex> repl_lock(repl_mu_);
+  }
+  repl_cv_.notify_all();
+}
+
+bool Server::AnswerFromDedup(const WriteJob& job, const DedupResult& dedup,
+                             Ack* ack) {
   switch (dedup.verdict) {
     case DedupVerdict::kFresh:
       return false;
@@ -1151,81 +1294,79 @@ bool Server::CheckDedup(const WriteJob& job) {
         ++counters_.dedup_hits;
       }
       obs::MetricsRegistry::Add(metrics_, "server.dedup_hits");
+      ack->duplicate_of = dedup.version;
       if (job.kind == WriteJob::Kind::kApply) {
-        ApplyReply reply{dedup.version};
-        SendReply(job.conn, job.request_id, FrameType::kApplyOk,
-                  EncodeApplyReply(reply));
+        ack->type = FrameType::kApplyOk;
+        ack->payload = EncodeApplyReply(ApplyReply{dedup.version});
       } else {
         ProcessReply reply;
         reply.version = dedup.version;
         reply.accepted = true;  // only accepted commits are recorded
-        SendReply(job.conn, job.request_id, FrameType::kProcessOk,
-                  EncodeProcessReply(reply));
+        ack->type = FrameType::kProcessOk;
+        ack->payload = EncodeProcessReply(reply);
       }
       return true;
     }
     case DedupVerdict::kTooOld:
-      // The seq fell out of the bounded window, so committed-vs-not is
-      // unknowable — ambiguity must surface, not resolve to a guess.
-      SendWriteError(
-          job.conn, job.request_id,
-          FailedPreconditionError(StrCat(
-              "request_seq ", job.token.request_seq, " of client ",
-              job.token.client_id,
-              " predates the idempotency window; outcome unknown")),
-          /*tokened=*/true, /*retryable=*/false);
+    case DedupVerdict::kRejected:
+      ack->Fail(DedupRefusal(dedup.verdict, job.token), /*retry=*/false);
       return true;
   }
   return false;
 }
 
-void Server::ExecuteWrite(const WriteJob& job) {
+void Server::ExecuteWrite(const WriteJob& job, Ack* ack_out) {
+  Ack& ack = *ack_out;
+  // Every rejection of a tokened write is final for its client, so the
+  // token is tombstoned: a stale copy admitted later is refused, not run.
+  auto rejected = [&](Status status) {
+    db_->RecordRejectedToken(job.token);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++counters_.writes_rejected;
+    }
+    obs::MetricsRegistry::Add(metrics_, "server.writes_rejected");
+    NoteCommitHealth();
+    ack.Fail(std::move(status), /*retry=*/false);
+  };
   switch (job.kind) {
     case WriteJob::Kind::kApply: {
-      if (CheckDedup(job)) return;
-      Status applied = db_->Apply(job.transaction, job.token);
-      if (!applied.ok()) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++counters_.writes_rejected;
-        }
-        obs::MetricsRegistry::Add(metrics_, "server.writes_rejected");
-        NoteCommitHealth();
-        SendWriteError(job.conn, job.request_id, applied,
-                       job.token.present(), /*retryable=*/false);
-        return;
+      // One commit-lock hold: dedup lookup, validation, log staging and the
+      // in-memory apply. The durability wait is FinishAck's.
+      Result<DeductiveDatabase::StagedApply> staged =
+          db_->StageApply(job.transaction, job.token);
+      if (!staged.ok()) {
+        rejected(staged.status());
+      } else if (!AnswerFromDedup(
+                     job, DedupResult{staged->verdict, staged->version},
+                     &ack)) {
+        ack.type = FrameType::kApplyOk;
+        ack.payload = EncodeApplyReply(ApplyReply{staged->version});
+        ack.staged = std::move(*staged);
+        ack.staged_at = Clock::now();
       }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++counters_.writes_applied;
-      }
-      obs::MetricsRegistry::Add(metrics_, "server.writes_applied");
-      ApplyReply reply{db_->version()};
-      SendReply(job.conn, job.request_id, FrameType::kApplyOk,
-                EncodeApplyReply(reply));
       return;
     }
     case WriteJob::Kind::kProcess: {
-      if (CheckDedup(job)) return;
+      // Synchronous: the processor's LogCommit waits for its own record,
+      // which is durable only after every record staged before it.
+      if (job.token.present() &&
+          AnswerFromDedup(job, db_->LookupCommitToken(job.token), &ack)) {
+        return;
+      }
       UpdateProcessor processor(db_);
       processor.set_commit_token(job.token);
       Result<UpdateProcessor::TransactionReport> report =
           processor.ProcessTransaction(job.transaction);
       if (!report.ok()) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++counters_.writes_rejected;
-        }
-        obs::MetricsRegistry::Add(metrics_, "server.writes_rejected");
-        NoteCommitHealth();
-        SendWriteError(job.conn, job.request_id, report.status(),
-                       job.token.present(), /*retryable=*/false);
+        rejected(report.status());
         return;
       }
       ProcessReply reply;
       reply.version = db_->version();
       reply.accepted = report->accepted;
       if (!report->accepted) {
+        db_->RecordRejectedToken(job.token);
         reply.detail = report->ToString(db_->symbols());
         {
           std::lock_guard<std::mutex> lock(mu_);
@@ -1233,26 +1374,25 @@ void Server::ExecuteWrite(const WriteJob& job) {
         }
         obs::MetricsRegistry::Add(metrics_, "server.writes_rejected");
       } else {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++counters_.writes_applied;
-      }
-      if (report->accepted) {
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          ++counters_.writes_applied;
+        }
         obs::MetricsRegistry::Add(metrics_, "server.writes_applied");
       }
-      SendReply(job.conn, job.request_id, FrameType::kProcessOk,
-                EncodeProcessReply(reply));
+      ack.type = FrameType::kProcessOk;
+      ack.payload = EncodeProcessReply(reply);
       return;
     }
     case WriteJob::Kind::kCheckpoint: {
       Status checkpointed = db_->Checkpoint();
       if (!checkpointed.ok()) {
         NoteCommitHealth();
-        SendError(job.conn, job.request_id, checkpointed);
+        ack.Fail(std::move(checkpointed), /*retry=*/false);
         return;
       }
-      CheckpointReply reply{db_->version()};
-      SendReply(job.conn, job.request_id, FrameType::kCheckpointOk,
-                EncodeCheckpointReply(reply));
+      ack.type = FrameType::kCheckpointOk;
+      ack.payload = EncodeCheckpointReply(CheckpointReply{db_->version()});
       return;
     }
   }

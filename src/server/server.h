@@ -106,8 +106,9 @@ struct ServerOptions {
   obs::ObsContext obs;
 
   /// Test seam: runs on the writer thread before each dequeued write
-  /// executes. The admission suite parks the writer on a latch here to fill
-  /// the queue deterministically. Never set in production.
+  /// executes (or is staged). The admission and pipeline suites park the
+  /// writer on a latch here to fill the queue deterministically. Never set
+  /// in production.
   std::function<void()> writer_stall_for_test;
 
   /// Test seam: runs on the pusher thread after each WaitPop returns, i.e.
@@ -128,7 +129,13 @@ struct ServerOptions {
 ///   - exactly one writer thread, which drains the bounded admission queue
 ///     and drives every mutating facade call (Apply, processor updates,
 ///     Checkpoint) — the facade's single-writer contract is enforced
-///     structurally, not by convention.
+///     structurally, not by convention;
+///   - one durability stage thread, which finishes staged Applies (waits
+///     for their WAL fsync) and sends every write reply in staging order,
+///     while the writer stages the next jobs — so concurrent Applies share
+///     fsyncs. Acks leave in commit order on each connection and across
+///     connections. Under light load (nothing queued, nothing in flight)
+///     the writer finishes and replies itself, with no hand-off.
 ///
 /// Admission control reuses util::ResourceGuard end to end: each request
 /// carries a deadline and derived-fact/DNF budgets; reads run under a
@@ -165,7 +172,7 @@ class Server {
 
   // ---- Introspection (tests and the Stats frame) ---------------------------
 
-  /// Live queue depth (admitted, not yet completed writes).
+  /// Live queue depth (admitted, not yet acknowledged writes).
   size_t queue_depth() const;
   size_t active_connections() const;
 
@@ -177,10 +184,15 @@ class Server {
  private:
   struct ConnState;
   struct WriteJob;
+  struct Ack;
 
   void AcceptLoop();
   void ConnectionLoop(std::shared_ptr<ConnState> conn);
   void WriterLoop();
+  /// The durability stage: finishes and sends the acks the writer queued,
+  /// strictly in queue order; exits once the writer is done and the stream
+  /// is empty.
+  void AckLoop();
 
   /// Decodes and serves one request frame; returns false when the
   /// connection should close (transport failure writing the response).
@@ -219,13 +231,25 @@ class Server {
   /// (bounding the backlog at max_connections) and from Stop().
   void ReapRetiredConnections();
 
-  /// Executes one admitted write on the writer thread.
-  void ExecuteWrite(const WriteJob& job);
+  /// Executes one admitted write on the writer thread: stages an Apply,
+  /// runs a Process or Checkpoint to completion. Fills in `ack` (which
+  /// already names the job's connection and request) with its reply-to-be.
+  void ExecuteWrite(const WriteJob& job, Ack* ack);
 
-  /// Idempotency check for tokened Apply/Process jobs. Returns true when
-  /// the job was fully answered here — a dedup hit (original reply resent)
-  /// or an out-of-window token (typed non-retryable rejection).
-  bool CheckDedup(const WriteJob& job);
+  /// Answers a tokened write the dedup table already knows — a committed
+  /// duplicate (original reply, confirmed at ack time) or an out-of-window
+  /// token (typed non-retryable rejection). False for a fresh token.
+  bool AnswerFromDedup(const WriteJob& job, const DedupResult& dedup,
+                       Ack* ack);
+
+  /// Writer side of the ack stream: queues `ack` behind the ones in flight,
+  /// or — nothing in flight, and nothing queued for a staged Apply to
+  /// overlap with — finishes it on the writer.
+  void Deliver(Ack ack);
+
+  /// Finishes a staged Apply (durability verdict), sends the reply, and
+  /// releases the job's in-flight slot and connection quota.
+  void FinishAck(Ack& ack);
 
   /// Ensures conn->session pins the current commit version; arms the
   /// connection guard from `admission`. Returns the deadline-capped limits'
@@ -261,6 +285,7 @@ class Server {
   std::unique_ptr<Listener> listener_;
   std::thread accept_thread_;
   std::thread writer_thread_;
+  std::thread acker_thread_;
   std::thread pusher_thread_;
 
   /// The guard installed on the facade for the lifetime of the server; only
@@ -273,8 +298,20 @@ class Server {
   mutable std::mutex mu_;  // guards everything below
   std::condition_variable queue_cv_;       // writer wakeups
   std::condition_variable drained_cv_;     // Stop() waits for queue drain
+  std::condition_variable ack_cv_;         // durability stage wakeups
   std::deque<WriteJob> write_queue_;
-  size_t writes_in_flight_ = 0;  // dequeued, still executing
+  size_t writes_in_flight_ = 0;  // dequeued, not yet acknowledged
+  /// The ordered ack stream: replies the writer decided, oldest first. The
+  /// durability stage finishes the front in place and pops it after the
+  /// reply is sent, so an empty stream means nothing is in flight there.
+  /// Bounded by write_queue_depth: the writer stages no further ahead.
+  std::deque<Ack> acks_;
+  bool writer_done_ = false;  // the writer returned; no more acks will come
+  /// The first staged Apply whose durability failed: its version, and the
+  /// status it failed with. A duplicate of any commit at or past it is
+  /// answered with that status, never with the optimistic dedup entry.
+  uint64_t failed_version_ = 0;
+  Status failed_status_;
   std::vector<std::shared_ptr<ConnState>> connections_;
   /// Push routing: the opaque owner id each subscription is registered
   /// under, back to its connection. weak_ptr so a retired connection's
@@ -295,8 +332,8 @@ class Server {
   bool degraded_ = false;
   bool stopped_ = false;  // teardown finished (set by the owning Stop)
 
-  /// Long-poll plumbing for the replica feed: the writer thread rings
-  /// repl_cv_ after each executed write (off mu_), and Stop() raises
+  /// Long-poll plumbing for the replica feed: each acknowledged write rings
+  /// repl_cv_ (off mu_), and Stop() raises
   /// repl_stop_ so parked feed waits unwind promptly. Own mutex so a parked
   /// long-poll never holds — or waits for — mu_.
   std::mutex repl_mu_;

@@ -1,7 +1,8 @@
 // CommitDedup: the bounded exactly-once memory behind the server's
-// idempotency tokens. Fresh/duplicate/too-old classification, the per-client
-// ring-window eviction (a seq is retained until a later commit reuses its
-// slot), and wholesale LRU eviction of the least recently used client.
+// idempotency tokens. Fresh/duplicate/rejected/too-old classification, the
+// per-client ring-window eviction (a seq is retained until a later commit
+// reuses its slot), and wholesale LRU eviction of the least recently used
+// client.
 
 #include "core/commit_dedup.h"
 
@@ -39,6 +40,20 @@ TEST(CommitDedupTest, RerecordingIsIdempotent) {
   DedupResult hit = dedup.Lookup(Token(1, 1));
   EXPECT_EQ(hit.verdict, DedupVerdict::kDuplicate);
   EXPECT_EQ(hit.version, 41u);
+}
+
+TEST(CommitDedupTest, RejectedSeqIsRefusedNotFresh) {
+  // A rejection is final for the client: the token stays rejected, so a
+  // stale copy of the write can never run later against a newer state.
+  CommitDedup dedup;
+  dedup.RecordRejected(Token(1, 1));
+  EXPECT_EQ(dedup.Lookup(Token(1, 1)).verdict, DedupVerdict::kRejected);
+  EXPECT_EQ(dedup.Lookup(Token(1, 2)).verdict, DedupVerdict::kFresh);
+  dedup.Record(Token(1, 2), 12);
+  EXPECT_EQ(dedup.Lookup(Token(1, 1)).verdict, DedupVerdict::kRejected);
+  EXPECT_EQ(dedup.Lookup(Token(1, 2)).verdict, DedupVerdict::kDuplicate);
+  EXPECT_FALSE(DedupRefusal(DedupVerdict::kRejected, Token(1, 1)).ok());
+  EXPECT_TRUE(DedupRefusal(DedupVerdict::kDuplicate, Token(1, 2)).ok());
 }
 
 TEST(CommitDedupTest, UncommittedSeqBelowHighWaterIsTooOld) {

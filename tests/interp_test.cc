@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include "core/deductive_database.h"
+#include "eval/join_plan.h"
+#include "events/transaction_provider.h"
 #include "interp/derived_events.h"
 #include "interp/domain.h"
 #include "interp/downward.h"
 #include "interp/old_state.h"
 #include "interp/upward.h"
 #include "parser/parser.h"
+#include "util/strings.h"
 
 namespace deddb {
 namespace {
@@ -118,6 +121,80 @@ TEST(OldStateViewTest, EstimateMatchesIsMaskAwareAndProofAware) {
   EXPECT_EQ(proven.EstimateMatches(staff, 0), 4u);
   // Other derived predicates are not costed.
   EXPECT_EQ(proven.EstimateMatches(busy, 0b1), FactProvider::kUnknownCount);
+}
+
+TEST(OldStateViewTest, UpwardPlansDescribeKeyProbesForBoundLiterals) {
+  // The employment event rules planned the way the upward pass plans them
+  // (old state + transaction + derived events, layered): every fully bound
+  // base or event literal with stored facts is a key probe in the EXPLAIN,
+  // never a scan.
+  auto db = Load(R"(
+    base La/1. base Works/1. base U_benefit/1.
+    view Unemp/1.
+    ic Ic1/1.
+    Unemp(x) <- La(x) & not Works(x).
+    Ic1(x) <- Unemp(x) & not U_benefit(x).
+    La(Dolors). La(Ann). La(Bob). U_benefit(Dolors).
+    U_benefit(Cal). U_benefit(Dan). Works(Bob).
+  )");
+  auto compiled = db->Compiled();
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  const Database& state = db->database();
+  const PredicateTable& predicates = state.predicates();
+  Transaction txn;
+  ASSERT_TRUE(txn.AddDelete(db->GroundAtom("La", {"Dolors"}).value()).ok());
+  ASSERT_TRUE(txn.AddDelete(db->GroundAtom("Works", {"Bob"}).value()).ok());
+  for (const char* name : {"Ann", "Eve", "Fay"}) {
+    ASSERT_TRUE(
+        txn.AddInsert(db->GroundAtom("U_benefit", {name}).value()).ok());
+  }
+  DerivedEvents events;
+  SymbolId unemp = state.FindPredicate("Unemp").value();
+  events.deletes.Add(unemp, {db->symbols().Intern("Dolors")});
+  events.inserts.Add(unemp, {db->symbols().Intern("Bob")});
+  OldStateView old_state(&state);
+  TransactionProvider txn_provider(&txn, &predicates);
+  DerivedEventsProvider events_provider(&events, &predicates);
+  LayeredProvider provider({&txn_provider, &events_provider, &old_state});
+  auto provider_for = [&](size_t) -> const FactProvider& { return provider; };
+
+  size_t key_probes = 0;
+  std::vector<std::string> explained;
+  auto check = [&](const Rule& rule, bool head_bound) {
+    JoinPlan::Options options;
+    if (head_bound) rule.head().CollectVariables(&options.initially_bound);
+    auto plan = JoinPlan::Build(rule, provider_for, options);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    explained.push_back(plan->ToString(state.symbols()));
+    for (const JoinPlan::StepInfo& step : plan->steps()) {
+      const size_t arity = rule.body()[step.literal].atom().arity();
+      const size_t stored = provider.EstimateCount(step.predicate);
+      if (step.bound_mask != (Relation::Mask{1} << arity) - 1 ||
+          stored == 0 || stored == FactProvider::kUnknownCount) {
+        continue;
+      }
+      EXPECT_EQ(step.access.kind, Relation::AccessPath::Kind::kKeyLookup)
+          << explained.back();
+      ++key_probes;
+    }
+  };
+  for (const Program* program :
+       {&(*compiled)->ins_new, &(*compiled)->delete_candidates}) {
+    for (const Rule& rule : program->rules()) check(rule, false);
+  }
+  for (const Rule& rule : (*compiled)->transition.rules()) check(rule, true);
+  EXPECT_GT(key_probes, 0u);
+  const std::string all = Join(explained, "\n");
+  // Unempⁿ(x) with x bound, and Ic1's insertion candidates: base and event
+  // literals alike are probed by key.
+  EXPECT_NE(all.find("La[key ~1] -> !del$La[key ~1] -> !Works[key ~1] -> "
+                     "!ins$Works[key ~1]"),
+            std::string::npos)
+      << all;
+  EXPECT_NE(all.find("ins$Unemp[key ~1] -> !U_benefit[key ~1] -> "
+                     "!ins$U_benefit[key ~1]"),
+            std::string::npos)
+      << all;
 }
 
 TEST(ActiveDomainTest, CollectsColumnsRulesAndExtras) {

@@ -15,6 +15,7 @@
 #include "eval/fact_provider.h"
 #include "eval/index_advisor.h"
 #include "eval/join_plan.h"
+#include "eval/query_engine.h"
 #include "parser/parser.h"
 #include "persist/codec.h"
 #include "storage/fact_store.h"
@@ -703,6 +704,88 @@ class CountingProvider : public FactProvider {
  private:
   FactStoreProvider inner_;
 };
+
+TEST(JoinPlanTest, GroundPositiveRunsBeforeEquallyGroundNegative) {
+  auto db = Load(R"(
+    base La/1.
+    base Emp/2.
+    derived Works/1.
+    derived Unemp/1.
+    derived Idle/1.
+    derived Stray/1.
+    Works(p) <- Emp(p, c).
+    Unemp(p) <- La(p) & not Works(p).
+    Idle(p) <- not Works(p) & La(p).
+    Stray(p) <- Works(p) & not La(p).
+    Emp(Ann, Acme).
+    Emp(Bob, Acme).
+    La(Cal).
+  )");
+  // With p bound both literals are ground; the positive goes first in
+  // either textual order, in Build and in the order-only entry alike.
+  FactStoreProvider provider(&db->database().facts());
+  auto provider_for = [&](size_t) -> const FactProvider& { return provider; };
+  for (const auto& [head, expected] :
+       std::vector<std::pair<const char*, std::vector<size_t>>>{
+           {"Unemp", {0, 1}}, {"Idle", {1, 0}}}) {
+    SCOPED_TRACE(head);
+    const Rule& rule = RuleFor(*db, head);
+    JoinPlan::Options options;
+    options.initially_bound.push_back(rule.head().args()[0].variable());
+    auto plan = JoinPlan::Build(rule, provider_for, options);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(plan->order(), expected);
+    auto order = JoinPlan::Order(rule, provider_for, options);
+    ASSERT_TRUE(order.ok()) << order.status();
+    EXPECT_EQ(*order, plan->order());
+  }
+
+  // Top-down, Unemp(Ann) fails on La(Ann) before Works(Ann) is resolved:
+  // the query engine never probes Emp.
+  class EmpProbes : public FactStoreProvider {
+   public:
+    EmpProbes(const FactStore* store, SymbolId emp)
+        : FactStoreProvider(store), emp_(emp) {}
+    void ForEachMatch(SymbolId predicate, const TuplePattern& pattern,
+                      const std::function<void(const Tuple&)>& fn)
+        const override {
+      probes += predicate == emp_;
+      FactStoreProvider::ForEachMatch(predicate, pattern, fn);
+    }
+    bool ForEachMatchUntil(
+        SymbolId predicate, const TuplePattern& pattern,
+        const std::function<bool(const Tuple&)>& fn) const override {
+      probes += predicate == emp_;
+      return FactStoreProvider::ForEachMatchUntil(predicate, pattern, fn);
+    }
+    bool Contains(SymbolId predicate, const Tuple& tuple) const override {
+      probes += predicate == emp_;
+      return FactStoreProvider::Contains(predicate, tuple);
+    }
+    mutable size_t probes = 0;
+
+   private:
+    SymbolId emp_;
+  };
+  EmpProbes edb(&db->database().facts(),
+                db->database().FindPredicate("Emp").value());
+  QueryEngine engine(db->database().program(), db->symbols(), edb);
+  for (const char* head : {"Unemp", "Idle"}) {
+    auto ann = engine.Holds(db->GroundAtom(head, {"Ann"}).value());
+    ASSERT_TRUE(ann.ok()) << ann.status();
+    EXPECT_FALSE(*ann);
+  }
+  // A ground negative with a known cost still filters before a subgoal:
+  // Stray(Cal) fails on La(Cal) before Works(Cal) is resolved.
+  auto stray = engine.Holds(db->GroundAtom("Stray", {"Cal"}).value());
+  ASSERT_TRUE(stray.ok()) << stray.status();
+  EXPECT_FALSE(*stray);
+  EXPECT_EQ(edb.probes, 0u);
+  auto cal = engine.Holds(db->GroundAtom("Unemp", {"Cal"}).value());
+  ASSERT_TRUE(cal.ok()) << cal.status();
+  EXPECT_TRUE(*cal);
+  EXPECT_GT(edb.probes, 0u) << "La(Cal) holds, so Works(Cal) is resolved";
+}
 
 TEST(JoinPlanTest, SatisfiableStreamsAndStopsAtTheFirstWitness) {
   auto db = Load(kChainProgram);

@@ -278,6 +278,73 @@ TEST_F(WalTest, InjectedAppendFailureSelfHealsToDurablePrefix) {
   }
 }
 
+TEST_F(WalTest, LostAppliedEarlyRecordFencesLaterEnqueues) {
+  // A record whose caller applies it before it is durable (the facade's
+  // staged Apply) is lost with its flush: every record enqueued after the
+  // loss would be computed against state the log no longer has, so the
+  // writer refuses them rather than let one land after the gap.
+  for (FaultPoint point : {FaultPoint::kWalAppend, FaultPoint::kWalFsync}) {
+    SCOPED_TRACE(FaultPointName(point));
+    ::unlink(path_.c_str());
+    auto writer = WalWriter::Create(path_, 0, {}).value();
+    WalWriter::Ticket a =
+        writer
+            ->Enqueue(EncodeCommitPayload(1, CommitOrigin::kDirect,
+                                          MakeTxn("A"), symbols_),
+                      /*applied_early=*/true)
+            .value();
+    // Staged behind A, in pending_ when A's flush fails: dropped too.
+    WalWriter::Ticket b =
+        writer
+            ->Enqueue(EncodeCommitPayload(2, CommitOrigin::kDirect,
+                                          MakeTxn("B"), symbols_),
+                      /*applied_early=*/true)
+            .value();
+    FaultInjector::Instance().Arm(point, 1,
+                                  InternalError("injected io failure"));
+    EXPECT_FALSE(writer->WaitDurable(a, {}).ok());
+    FaultInjector::Instance().Disarm();
+    EXPECT_FALSE(writer->WaitDurable(b, {}).ok());
+
+    Result<WalWriter::Ticket> after = writer->Enqueue(
+        EncodeCommitPayload(3, CommitOrigin::kProcessor, MakeTxn("C"),
+                            symbols_));
+    ASSERT_FALSE(after.ok());
+    EXPECT_NE(after.status().ToString().find("fenced"), std::string::npos)
+        << after.status().ToString();
+    EXPECT_FALSE(writer
+                     ->AppendDurable(EncodeAbortPayload(4, 1), {})
+                     .ok());
+    SymbolTable reader;
+    EXPECT_TRUE(ReadWal(path_, &reader).value().records.empty());
+  }
+}
+
+TEST_F(WalTest, LostRecordAppliedOnlyWhenDurableDoesNotFence) {
+  // The processor path applies nothing before its record is durable, so
+  // losing one leaves memory and log in step: later records are fine.
+  auto writer = WalWriter::Create(path_, 0, {}).value();
+  WalWriter::Ticket a =
+      writer
+          ->Enqueue(EncodeCommitPayload(1, CommitOrigin::kProcessor,
+                                        MakeTxn("A"), symbols_))
+          .value();
+  FaultInjector::Instance().Arm(FaultPoint::kWalFsync, 1,
+                                InternalError("injected fsync failure"));
+  EXPECT_FALSE(writer->WaitDurable(a, {}).ok());
+  FaultInjector::Instance().Disarm();
+  ASSERT_TRUE(writer
+                  ->AppendDurable(EncodeCommitPayload(
+                                      2, CommitOrigin::kDirect,
+                                      MakeTxn("B"), symbols_),
+                                  {})
+                  .ok());
+  SymbolTable reader;
+  WalContents read = ReadWal(path_, &reader).value();
+  ASSERT_EQ(read.records.size(), 1u);
+  EXPECT_EQ(read.records[0].seq, 2u);
+}
+
 TEST_F(WalTest, ConcurrentGroupCommitKeepsEveryRecord) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 25;
