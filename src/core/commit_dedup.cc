@@ -59,8 +59,11 @@ void CommitDedup::Store(const persist::CommitToken& token, uint64_t version,
   Touch(&window);
   Slot& slot = window.slots[token.request_seq % window.slots.size()];
   // Never let an out-of-order re-record (replay idempotence) clobber a
-  // newer commit that already owns the slot.
-  if (!slot.used || token.request_seq >= slot.seq) {
+  // newer commit that already owns the slot, and never let a rejection of
+  // a copy overwrite the commit of the same seq: that write did commit.
+  const bool keeps_commit = rejected && slot.used &&
+                            slot.seq == token.request_seq && !slot.rejected;
+  if (!keeps_commit && (!slot.used || token.request_seq >= slot.seq)) {
     slot.seq = token.request_seq;
     slot.version = version;
     slot.used = true;

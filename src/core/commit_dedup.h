@@ -73,7 +73,8 @@ class CommitDedup {
   void Record(const persist::CommitToken& token, uint64_t version);
 
   /// Records that `token`'s write was answered with a rejection and applied
-  /// nothing: later lookups report kRejected.
+  /// nothing: later lookups report kRejected. A seq already recorded as
+  /// committed stays committed (the rejected request was a copy of it).
   void RecordRejected(const persist::CommitToken& token);
 
   size_t client_count() const { return clients_.size(); }

@@ -415,6 +415,13 @@ Status DeductiveDatabase::commit_health() const {
   return commit_health_;
 }
 
+Status DeductiveDatabase::LossBehind(uint64_t version) const {
+  const uint64_t first = lost_version_.load(std::memory_order_acquire);
+  if (first == 0 || version < first) return Status::Ok();
+  std::lock_guard<std::mutex> lock(commit_mu_);
+  return commit_health_;
+}
+
 Result<DeductiveDatabase::StagedApply> DeductiveDatabase::StageApply(
     const Transaction& transaction, const persist::CommitToken& token) {
   if (replica_mode()) return ReplicaRefusal();
@@ -483,6 +490,10 @@ Status DeductiveDatabase::FinishApply(const StagedApply& staged) {
                durable.ToString(), "); reopen the database to re-converge"));
     std::lock_guard<std::mutex> relock(commit_mu_);
     if (commit_health_.ok()) commit_health_ = lost;
+    const uint64_t first = lost_version_.load(std::memory_order_relaxed);
+    if (first == 0 || staged.version < first) {
+      lost_version_.store(staged.version, std::memory_order_release);
+    }
     return lost;
   }
   // Durable and irrevocable: expose the record to the replica feed.

@@ -1,6 +1,7 @@
 #ifndef DEDDB_CORE_DEDUCTIVE_DATABASE_H_
 #define DEDDB_CORE_DEDUCTIVE_DATABASE_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -239,6 +240,13 @@ class DeductiveDatabase {
   /// server's degraded read-only mode keys off this.
   Status commit_health() const;
 
+  /// Ok unless the state as of `version` holds a lost commit: one applied
+  /// in memory by StageApply whose FinishApply then failed. Every commit
+  /// from the first lost one on is lost too (the WAL fences), so a verdict
+  /// decided at `version` or later rests on state the log never had, and
+  /// this returns the loss to answer it with instead.
+  Status LossBehind(uint64_t version) const;
+
   // ---- Event machinery ----------------------------------------------------
 
   /// The compiled transition/event rules (recompiled after schema changes).
@@ -462,6 +470,9 @@ class DeductiveDatabase {
   // of the log, so further commits/checkpoints must not proceed — reopen
   // the database to re-converge.
   Status commit_health_;
+  // The version of the first lost commit (0: none), set with commit_health_
+  // by FinishApply; atomic so LossBehind reads it without commit_mu_.
+  std::atomic<uint64_t> lost_version_{0};
   // Committed tokened writes (exactly-once memory); commit_mu_ guards it.
   // Populated at commit time and, for persistent databases, re-populated
   // from WAL token extensions during OpenPersistent replay.

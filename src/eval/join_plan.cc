@@ -109,8 +109,6 @@ Result<std::vector<size_t>> OrderBody(
     const JoinPlan::Options& options, SlotBindings bindings) {
   std::vector<size_t> order;
   std::vector<bool> used(body.size(), false);
-  // 2 * unknown cost + negative for a ground literal, -1 until estimated.
-  std::vector<int> ground_rank(body.size(), -1);
   order.reserve(body.size());
   if (options.forced_first.has_value()) {
     assert(*options.forced_first < body.size());
@@ -128,37 +126,28 @@ Result<std::vector<size_t>> OrderBody(
         if (body[i].positive() || bindings.IsGround(body[i].atom())) pick = i;
       }
     } else {
-      // Ground literals are pure filters. Those with a known cost (stored
-      // facts, one key probe) go before those of unknown cost (resolved as
-      // subgoals); within each class positives go before negatives, each in
-      // body order. So a ground negative never jumps ahead of an equally
-      // cheap ground positive, and a subgoal waits for every free filter.
-      // The rank only orders ground literals among themselves, so a lone
-      // ground literal is taken without an estimate, and a ground literal's
-      // rank (its mask stays full) is estimated once per call.
-      size_t ground = 0;
-      for (size_t i = 0; i < body.size() && ground < 2; ++i) {
-        if (!used[i] && bindings.IsGround(body[i].atom())) {
-          ++ground;
+      // Ground negatives are free filters: the first one goes next, unless
+      // a ground positive of known cost (a stored fact: one key probe) is
+      // available too. That positive goes first, so a ground negative never
+      // jumps ahead of an equally ground, cheap positive. Estimates are
+      // asked for only when the two compete.
+      for (size_t i = 0; i < body.size() && pick == body.size(); ++i) {
+        if (!used[i] && body[i].negative() &&
+            bindings.IsGround(body[i].atom())) {
           pick = i;
         }
       }
-      if (ground > 1) {
-        pick = body.size();
-        int best_rank = 4;
-        for (size_t i = 0; i < body.size() && best_rank > 0; ++i) {
+      if (pick < body.size()) {
+        for (size_t i = 0; i < body.size(); ++i) {
           const Atom& atom = body[i].atom();
-          if (used[i] || !bindings.IsGround(atom)) continue;
-          if (ground_rank[i] < 0) {
-            const bool unknown_cost =
-                provider_for(i).EstimateMatches(atom.predicate(),
-                                                bindings.MaskOf(atom)) ==
-                FactProvider::kUnknownCount;
-            ground_rank[i] = 2 * unknown_cost + (body[i].negative() ? 1 : 0);
+          if (used[i] || body[i].negative() || !bindings.IsGround(atom)) {
+            continue;
           }
-          if (ground_rank[i] < best_rank) {
-            best_rank = ground_rank[i];
+          if (provider_for(i).EstimateMatches(atom.predicate(),
+                                              bindings.MaskOf(atom)) !=
+              FactProvider::kUnknownCount) {
             pick = i;
+            break;
           }
         }
       }

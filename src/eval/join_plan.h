@@ -104,12 +104,12 @@ class JoinPlan {
   }
 
   /// The execution order Build would choose, without compiling any steps:
-  /// under kPlanned, ground literals first (known-cost before unknown-cost,
-  /// positives before negatives within each, body order), then the positive
-  /// literal with the fewest estimated matches (provider_for(i).
-  /// EstimateMatches under the bindings so far), ties broken by more bound
-  /// arguments, then fewer unbound variables, then body index. Fails like
-  /// Build on an unsafe rule.
+  /// under kPlanned, the positive literal with the fewest estimated matches
+  /// (provider_for(i).EstimateMatches under the bindings so far), ties
+  /// broken by more bound arguments, then fewer unbound variables, then body
+  /// index; but a ground negative goes first (the first in body order)
+  /// unless a ground positive of known cost is available (the first such
+  /// goes instead). Fails like Build on an unsafe rule.
   static Result<std::vector<size_t>> Order(
       const Rule& rule,
       const std::function<const FactProvider&(size_t)>& provider_for,

@@ -67,9 +67,10 @@ struct Server::Ack {
   /// non-retryable error.
   std::optional<DeductiveDatabase::StagedApply> staged;
   Clock::time_point staged_at{};
-  /// Nonzero for a dedup hit: the version its original committed at. The
-  /// reply below stands only if that commit did not fail durability.
-  uint64_t duplicate_of = 0;
+  /// For any other reply, the commit version whose state it was decided
+  /// in (a dedup hit: the version its original committed at). The reply
+  /// stands only if no commit up to that version was lost.
+  uint64_t rests_on = 0;
   /// The reply: a success frame, or kError with `error` and its hint.
   FrameType type = FrameType::kError;
   std::string payload;
@@ -1066,7 +1067,10 @@ void Server::EnqueueWrite(const std::shared_ptr<ConnState>& conn,
       rejection = ResourceExhaustedError(
           StrCat("per-connection write quota of ",
                  options_.max_pending_writes_per_connection, " exceeded"));
-    } else if (write_queue_.size() >= options_.write_queue_depth) {
+    } else if (write_queue_.size() + acks_.size() >=
+               options_.write_queue_depth) {
+      // Every admitted, unacknowledged write except the writer's own job
+      // counts, so staged commits cannot stretch the bound.
       ++counters_.rejected_overload;
       reject = Reject::kOverload;
       rejection = ResourceExhaustedError(
@@ -1102,17 +1106,12 @@ void Server::EnqueueWrite(const std::shared_ptr<ConnState>& conn,
 }
 
 void Server::WriterLoop() {
-  // The stream may run this far ahead of the durability stage (at least one,
-  // so a zero-depth queue cannot wedge Stop()).
-  const size_t max_acks = std::max<size_t>(1, options_.write_queue_depth);
   for (;;) {
     WriteJob job;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock, [&] {
-        return (stopping_ || !write_queue_.empty()) &&
-               acks_.size() < max_acks;
-      });
+      queue_cv_.wait(lock,
+                     [&] { return stopping_ || !write_queue_.empty(); });
       if (write_queue_.empty()) {
         // stopping_ and drained; nothing will be admitted past this point.
         writer_done_ = true;
@@ -1163,6 +1162,9 @@ void Server::WriterLoop() {
       }
       writer_guard_.Restart(LimitsFor(job.admission, remaining));
       ExecuteWrite(job, &ack);
+      if (!ack.staged.has_value() && ack.rests_on == 0) {
+        ack.rests_on = db_->version();
+      }
       // The writer's own time: a staged Apply's durability wait is
       // server.durable_wait_us.
       obs::MetricsRegistry::Observe(
@@ -1193,7 +1195,6 @@ void Server::Deliver(Ack ack) {
 }
 
 void Server::AckLoop() {
-  const size_t max_acks = std::max<size_t>(1, options_.write_queue_depth);
   for (;;) {
     Ack ack;
     {
@@ -1208,9 +1209,7 @@ void Server::AckLoop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       acks_.pop_front();
-      if (acks_.empty() || acks_.size() + 1 == max_acks) {
-        queue_cv_.notify_one();
-      }
+      if (acks_.empty()) queue_cv_.notify_one();  // a checkpoint may wait
     }
   }
 }
@@ -1235,22 +1234,17 @@ void Server::FinishAck(Ack& ack) {
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++counters_.writes_rejected;
-        if (failed_version_ == 0) {
-          failed_version_ = ack.staged->version;
-          failed_status_ = durable;
-        }
       }
       obs::MetricsRegistry::Add(metrics_, "server.writes_rejected");
       NoteCommitHealth();
       ack.Fail(std::move(durable), /*retry=*/false);
     }
-  } else if (ack.duplicate_of != 0) {
-    // Every ack ahead of this one is settled, the original's included: a
-    // duplicate of a commit that failed durability gets that failure.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (failed_version_ != 0 && ack.duplicate_of >= failed_version_) {
-      ack.Fail(failed_status_, /*retry=*/false);
-    }
+  } else {
+    // Every ack ahead of this one is settled: a reply decided in a state
+    // that held a lost commit (a duplicate of it, a rejection or Process
+    // verdict computed on top of it) gets that loss instead.
+    Status lost = db_->LossBehind(ack.rests_on);
+    if (!lost.ok()) ack.Fail(std::move(lost), /*retry=*/false);
   }
   // Release the job before its reply goes out, so a client that has the
   // reply never finds its quota or the queue depth still holding it.
@@ -1294,7 +1288,7 @@ bool Server::AnswerFromDedup(const WriteJob& job, const DedupResult& dedup,
         ++counters_.dedup_hits;
       }
       obs::MetricsRegistry::Add(metrics_, "server.dedup_hits");
-      ack->duplicate_of = dedup.version;
+      ack->rests_on = dedup.version;
       if (job.kind == WriteJob::Kind::kApply) {
         ack->type = FrameType::kApplyOk;
         ack->payload = EncodeApplyReply(ApplyReply{dedup.version});
@@ -1365,6 +1359,7 @@ void Server::ExecuteWrite(const WriteJob& job, Ack* ack_out) {
       ProcessReply reply;
       reply.version = db_->version();
       reply.accepted = report->accepted;
+      ack.rests_on = reply.version;
       if (!report->accepted) {
         db_->RecordRejectedToken(job.token);
         reply.detail = report->ToString(db_->symbols());

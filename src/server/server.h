@@ -57,7 +57,9 @@ struct ServerOptions {
   /// are turned away with a typed error frame before any request is read.
   size_t max_connections = 256;
 
-  /// Bound on the writer's admission queue. A write arriving when the queue
+  /// Bound on the writer's admission queue: writes admitted and not yet
+  /// acknowledged, apart from the one the writer is executing (queued, or
+  /// staged and awaiting their fsync). A write arriving when the queue
   /// is full is rejected immediately (kResourceExhausted, "overloaded") —
   /// reject-on-overload rather than unbounded buffering, so latency stays
   /// bounded and memory cannot grow with offered load.
@@ -247,8 +249,9 @@ class Server {
   /// overlap with — finishes it on the writer.
   void Deliver(Ack ack);
 
-  /// Finishes a staged Apply (durability verdict), sends the reply, and
-  /// releases the job's in-flight slot and connection quota.
+  /// Finishes a staged Apply (durability verdict) or, for any other reply,
+  /// replaces it with the loss if it rests on a lost commit; then sends the
+  /// reply and releases the job's in-flight slot and connection quota.
   void FinishAck(Ack& ack);
 
   /// Ensures conn->session pins the current commit version; arms the
@@ -304,14 +307,9 @@ class Server {
   /// The ordered ack stream: replies the writer decided, oldest first. The
   /// durability stage finishes the front in place and pops it after the
   /// reply is sent, so an empty stream means nothing is in flight there.
-  /// Bounded by write_queue_depth: the writer stages no further ahead.
+  /// Admission counts it with the queue against write_queue_depth.
   std::deque<Ack> acks_;
   bool writer_done_ = false;  // the writer returned; no more acks will come
-  /// The first staged Apply whose durability failed: its version, and the
-  /// status it failed with. A duplicate of any commit at or past it is
-  /// answered with that status, never with the optimistic dedup entry.
-  uint64_t failed_version_ = 0;
-  Status failed_status_;
   std::vector<std::shared_ptr<ConnState>> connections_;
   /// Push routing: the opaque owner id each subscription is registered
   /// under, back to its connection. weak_ptr so a retired connection's

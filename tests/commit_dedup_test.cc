@@ -56,6 +56,18 @@ TEST(CommitDedupTest, RejectedSeqIsRefusedNotFresh) {
   EXPECT_TRUE(DedupRefusal(DedupVerdict::kDuplicate, Token(1, 2)).ok());
 }
 
+TEST(CommitDedupTest, RejectedCopyNeverDowngradesACommit) {
+  // A copy of a committed write can be rejected on its own (its deadline
+  // expired in the queue); the seq still committed, so later copies must
+  // keep getting the original version, not a refusal.
+  CommitDedup dedup;
+  dedup.Record(Token(1, 1), 41);
+  dedup.RecordRejected(Token(1, 1));
+  DedupResult hit = dedup.Lookup(Token(1, 1));
+  EXPECT_EQ(hit.verdict, DedupVerdict::kDuplicate);
+  EXPECT_EQ(hit.version, 41u);
+}
+
 TEST(CommitDedupTest, UncommittedSeqBelowHighWaterIsTooOld) {
   // Seq 2 was never recorded (say it was rejected), but seq 3 committed:
   // a later retry of 2 is ambiguous only once it leaves the window — while

@@ -19,7 +19,10 @@
 // hold a write until it is acknowledged; (e) one connection's Apply,
 // Process, Apply replies arrive in that order; (f) a checkpoint waits for
 // the staged commits ahead of it to settle; (g) a stale copy of a rejected
-// tokened write, admitted after its retry, is refused.
+// tokened write, admitted after its retry, is refused; (h) a copy of a
+// committed write that is rejected on its own never turns the commit into
+// a refusal; (i) a verdict decided on top of a commit whose flush then
+// fails is answered with that loss.
 
 #include <gtest/gtest.h>
 
@@ -149,6 +152,19 @@ class LoggedListener : public Listener {
 std::string ApplyPayload(Client* client, const std::string& constant,
                          uint64_t client_id, uint64_t request_seq) {
   ApplyRequest request;
+  request.token = persist::CommitToken{client_id, request_seq};
+  EXPECT_TRUE(
+      request.transaction.AddInsert(client->GroundAtom("Q", {constant}))
+          .ok());
+  return EncodeApplyRequest(request, client->symbols());
+}
+
+std::string ApplyPayloadWithDeadline(Client* client,
+                                     const std::string& constant,
+                                     uint64_t client_id, uint64_t request_seq,
+                                     uint32_t deadline_ms) {
+  ApplyRequest request;
+  request.admission.deadline_ms = deadline_ms;
   request.token = persist::CommitToken{client_id, request_seq};
   EXPECT_TRUE(
       request.transaction.AddInsert(client->GroundAtom("Q", {constant}))
@@ -617,6 +633,83 @@ TEST_F(ServerPipelineTest, StaleCopyOfARejectedWriteIsRefused) {
   EXPECT_NE(error->message.find("already rejected"), std::string::npos)
       << error->message;
   EXPECT_FALSE(HasQ(db_.get(), "p"));
+}
+
+TEST_F(ServerPipelineTest, CopyExpiringInQueueKeepsTheCommitOfItsToken) {
+  // Attempt 1 commits; a copy sent after a re-dial expires in the queue
+  // behind it. The copy's rejection must not tombstone the token over its
+  // commit: attempt 3 is answered with the original version, so a client
+  // that believes it never re-issues a write that already committed.
+  StartServer();
+  Connect(3);
+  Admit(0, FrameType::kApply, ApplyPayload(clients_[0].get(), "t", 7, 1));
+  stall_.Await();
+  Admit(1, FrameType::kApply,
+        ApplyPayloadWithDeadline(clients_[1].get(), "t", 7, 1,
+                                 /*deadline_ms=*/1));
+  // The copy was admitted before Admit returned, so this outlasts its
+  // deadline.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  stall_.Open();
+  gate_.Open();
+
+  const uint64_t committed = ApplyVersion(clients_[0]->ReceiveRaw());
+  Result<OwnedFrame> expired = clients_[1]->ReceiveRaw();
+  ExpectFinalError(expired);
+  Result<ErrorReply> error = DecodeErrorReply(expired->payload);
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(error->code, StatusCode::kDeadlineExceeded) << error->message;
+
+  ASSERT_TRUE(clients_[2]
+                  ->SendRaw(FrameType::kApply,
+                            ApplyPayload(clients_[2].get(), "t", 7, 1))
+                  .ok());
+  EXPECT_EQ(ApplyVersion(clients_[2]->ReceiveRaw()), committed);
+  EXPECT_EQ(db_->version(), committed) << "no copy applied twice";
+}
+
+TEST_F(ServerPipelineTest, VerdictsOnALostCommitGetTheLoss) {
+  // An Apply and a Process rejected because a staged commit's fact already
+  // holds were decided in a state the log never got: once that commit's
+  // flush fails, they are answered with the loss, not with "already holds".
+  StartServer();
+  Connect(5);
+  ParkDurabilityStage("v0", /*rejected_client=*/4);
+  SendAndStage(1, FrameType::kApply,
+               ApplyPayload(clients_[1].get(), "v1", 101, 1));
+  const uint64_t rejected_before =
+      JsonCounter(server_->StatsJson(), "writes_rejected");
+  ASSERT_TRUE(clients_[2]
+                  ->SendRaw(FrameType::kApply,
+                            ApplyPayload(clients_[2].get(), "v1", 102, 1))
+                  .ok());
+  ASSERT_TRUE(
+      clients_[3]
+          ->SendRaw(FrameType::kProcess, ProcessPayload(clients_[3].get(), "v1"))
+          .ok());
+  while (JsonCounter(server_->StatsJson(), "writes_rejected") <
+         rejected_before + 2) {
+    std::this_thread::yield();
+  }
+  FaultInjector::Instance().Arm(FaultPoint::kWalFsync, 1,
+                                InternalError("injected fsync failure"));
+  gate_.Open();
+
+  ApplyVersion(clients_[0]->ReceiveRaw());
+  ExpectFinalError(clients_[1]->ReceiveRaw());
+  for (int i = 2; i < 4; ++i) {
+    SCOPED_TRACE(i);
+    Result<OwnedFrame> frame = clients_[i]->ReceiveRaw();
+    // The untokened Process gets a bare error frame, without the hint.
+    if (i == 2) ExpectFinalError(frame);
+    ASSERT_TRUE(frame.ok());
+    ASSERT_EQ(frame->type, FrameType::kError);
+    Result<ErrorReply> error = DecodeErrorReply(frame->payload);
+    ASSERT_TRUE(error.ok());
+    EXPECT_NE(error->message.find("not durable"), std::string::npos)
+        << error->message;
+  }
+  FaultInjector::Instance().Disarm();
 }
 
 }  // namespace
